@@ -8,6 +8,7 @@ continuous baselines are Fourier-resampled frame sequences.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -153,19 +154,15 @@ def synth_frames(
     if missing:
         raise CoverageError(f"no prototype for words: {sorted(set(missing))}")
     rng = np.random.default_rng(rng_seed)
-    rows = []
-    boundaries: List[Boundary] = []
-    for i, word in enumerate(ref_words):
-        start = i * frames_per_word
-        boundaries.append((start, start + frames_per_word))
-        proto = table.prototypes[word]
-        noise = rng.normal(0.0, table.noise_sigma, (frames_per_word, table.dim))
-        rows.append(proto[None, :] + noise)
-    frames = (
-        np.concatenate(rows, axis=0)
-        if rows
-        else np.zeros((0, table.dim))
-    )
+    count = len(ref_words)
+    # One draw in row order gives the same values as one draw per word.
+    noise = rng.normal(0.0, table.noise_sigma, (count * frames_per_word, table.dim))
+    protos = np.array([table.prototypes[w] for w in ref_words])
+    protos = protos.reshape(count, table.dim)
+    frames = np.repeat(protos, frames_per_word, axis=0) + noise
+    boundaries: List[Boundary] = [
+        (i * frames_per_word, (i + 1) * frames_per_word) for i in range(count)
+    ]
     return frames, boundaries
 
 
@@ -238,22 +235,18 @@ def fft_resample(frames: np.ndarray, target_len: int) -> np.ndarray:
     return resampled
 
 
-_RESAMPLE_CACHE: Dict[Tuple[int, int], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=128)
 def resample_matrix(source_len: int, target_len: int) -> np.ndarray:
     """The (target_len, source_len) linear operator realized by fft_resample.
 
     fft_resample is linear in its input, so applying this matrix is
     exactly equivalent; the matrix form lets gradients flow through a
-    plain matmul when resampling projected features.
+    plain matmul when resampling projected features. The matrix is
+    cached and shared between callers, so it is read-only.
     """
-    key = (source_len, target_len)
-    cached = _RESAMPLE_CACHE.get(key)
-    if cached is None:
-        cached = fft_resample(np.eye(source_len), target_len)
-        _RESAMPLE_CACHE[key] = cached
-    return cached
+    matrix = fft_resample(np.eye(source_len), target_len)
+    matrix.setflags(write=False)
+    return matrix
 
 
 @dataclass

@@ -2,6 +2,15 @@
 
 WER, BLEU, and GLEU are reported on a 0..100 scale. The same alignment
 drives WER, the per-type error counts, and the channel profiler.
+
+``MetricsReport.compute`` scores a corpus in one pass. Its words are
+mapped to integers once. The Levenshtein tables of all pairs are built
+together in numpy, one reference row per step, in chunks of pairs sorted
+by length; a per-pair backtrace in Python then reads off the S/I/D
+counts. Each sentence's 1..4-grams are counted once, and the clipped
+matches feed both BLEU's corpus totals and the sentence GLEU overlap.
+``edit_ops``, ``corpus_edit_counts``, ``wer``, ``bleu``, ``gleu`` and
+``sentence_gleu`` call the same table, backtrace and n-gram code.
 """
 
 from __future__ import annotations
@@ -9,11 +18,17 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from crossaec.errors import DegenerateInputError
 
 Pair = Tuple[Sequence[str], Sequence[str]]
+IdPair = Tuple[List[int], List[int]]
+
+# Pairs whose Levenshtein tables are built in one numpy pass.
+CHUNK_PAIRS = 64
 
 MATCH = "match"
 SUBSTITUTE = "substitute"
@@ -45,6 +60,103 @@ class EditAlignment:
         return s, i, d
 
 
+def _word_ids(pairs: Iterable[Pair]) -> List[IdPair]:
+    """Map the words of every pair to integers, one id per distinct word."""
+    ids: Dict[str, int] = {}
+
+    def encode(words: Sequence[str]) -> List[int]:
+        return [ids.setdefault(w, len(ids)) for w in words]
+
+    return [(encode(ref), encode(hyp)) for ref, hyp in pairs]
+
+
+def _distance_tables(id_pairs: Sequence[IdPair]) -> np.ndarray:
+    """Levenshtein tables of a chunk of pairs, built together.
+
+    Shape (K, N+1, M+1) for the longest ref N and hyp M. Pair k's table is
+    the corner ``[:n_k+1, :m_k+1]``: a cell depends only on the cells above
+    and to its left, so the padding (sentinels -1 and -2, which never
+    match) cannot reach it. Each reference row is one numpy step: the
+    diagonal and up moves by ``np.minimum``, then the chain of insertions
+    along the row by ``minimum.accumulate(row - j) + j``.
+    """
+    count = len(id_pairs)
+    rows = max(len(ref) for ref, _ in id_pairs)
+    cols = max(len(hyp) for _, hyp in id_pairs)
+    ref_ids = np.full((count, rows), -1, dtype=np.int64)
+    hyp_ids = np.full((count, cols), -2, dtype=np.int64)
+    for k, (ref, hyp) in enumerate(id_pairs):
+        ref_ids[k, : len(ref)] = ref
+        hyp_ids[k, : len(hyp)] = hyp
+    differ = ref_ids[:, :, None] != hyp_ids[:, None, :]
+    steps = np.arange(cols + 1, dtype=np.int64)
+    dist = np.empty((count, rows + 1, cols + 1), dtype=np.int64)
+    dist[:, 0] = steps
+    for i in range(1, rows + 1):
+        prev, row = dist[:, i - 1], dist[:, i]
+        row[:, 0] = i
+        np.minimum(prev[:, :-1] + differ[:, i - 1], prev[:, 1:] + 1, out=row[:, 1:])
+        np.minimum.accumulate(row - steps, axis=1, out=row)
+        row += steps
+    return dist
+
+
+def _backtrace(
+    dist: List[List[int]], ref: Sequence[int], hyp: Sequence[int]
+) -> List[str]:
+    """Edit kinds of the alignment in ref order, ties broken as ``edit_ops`` says."""
+    kinds: List[str] = []
+    i, j = len(ref), len(hyp)
+    while i > 0 or j > 0:
+        if i > 0 and j > 0:
+            same = ref[i - 1] == hyp[j - 1]
+            if dist[i][j] == dist[i - 1][j - 1] + (0 if same else 1):
+                kinds.append(MATCH if same else SUBSTITUTE)
+                i -= 1
+                j -= 1
+                continue
+        if i > 0 and dist[i][j] == dist[i - 1][j] + 1:
+            kinds.append(DELETE)
+            i -= 1
+            continue
+        kinds.append(INSERT)
+        j -= 1
+    kinds.reverse()
+    return kinds
+
+
+def _edit_kinds(id_pairs: Sequence[IdPair]) -> List[List[str]]:
+    """The backtraced edit kinds of every pair, in input order.
+
+    Pairs are sorted by length and tabled ``CHUNK_PAIRS`` at a time, so
+    little of a table is padding and its memory stays bounded.
+    """
+    kinds: List[List[str]] = [[] for _ in id_pairs]
+    order = sorted(
+        range(len(id_pairs)),
+        key=lambda k: (len(id_pairs[k][0]), len(id_pairs[k][1])),
+    )
+    for start in range(0, len(order), CHUNK_PAIRS):
+        chunk = order[start : start + CHUNK_PAIRS]
+        tables = _distance_tables([id_pairs[k] for k in chunk])
+        for k, table in zip(chunk, tables):
+            ref, hyp = id_pairs[k]
+            kinds[k] = _backtrace(
+                table[: len(ref) + 1, : len(hyp) + 1].tolist(), ref, hyp
+            )
+    return kinds
+
+
+def _edit_counts(id_pairs: Sequence[IdPair]) -> Tuple[int, int, int, int]:
+    s = i = d = n = 0
+    for (ref, _), kinds in zip(id_pairs, _edit_kinds(id_pairs)):
+        s += kinds.count(SUBSTITUTE)
+        i += kinds.count(INSERT)
+        d += kinds.count(DELETE)
+        n += len(ref)
+    return s, i, d, n
+
+
 def edit_ops(ref_words: Sequence[str], hyp_words: Sequence[str]) -> EditAlignment:
     """Unit-cost Levenshtein alignment.
 
@@ -52,51 +164,18 @@ def edit_ops(ref_words: Sequence[str], hyp_words: Sequence[str]) -> EditAlignmen
     during backtrace from the end, which makes the alignment (not just
     its cost) deterministic.
     """
-    n, m = len(ref_words), len(hyp_words)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dist[i][0] = i
-    for j in range(1, m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        row = dist[i]
-        prev = dist[i - 1]
-        ri = ref_words[i - 1]
-        for j in range(1, m + 1):
-            diag = prev[j - 1] + (0 if ri == hyp_words[j - 1] else 1)
-            row[j] = min(diag, prev[j] + 1, row[j - 1] + 1)
     ops: List[EditOp] = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0:
-            same = ref_words[i - 1] == hyp_words[j - 1]
-            if dist[i][j] == dist[i - 1][j - 1] + (0 if same else 1):
-                ops.append(
-                    EditOp(MATCH if same else SUBSTITUTE, i - 1, j - 1)
-                )
-                i -= 1
-                j -= 1
-                continue
-        if i > 0 and dist[i][j] == dist[i - 1][j] + 1:
-            ops.append(EditOp(DELETE, i - 1, j))
-            i -= 1
-            continue
-        ops.append(EditOp(INSERT, i, j - 1))
-        j -= 1
-    ops.reverse()
+    i = j = 0
+    for kind in _edit_kinds(_word_ids([(ref_words, hyp_words)]))[0]:
+        ops.append(EditOp(kind, i, j))
+        i += kind != INSERT
+        j += kind != DELETE
     return EditAlignment(tuple(ops))
 
 
 def corpus_edit_counts(pairs: Iterable[Pair]) -> Tuple[int, int, int, int]:
     """Total (S, I, D, N_ref) over a corpus of (ref, hyp) pairs."""
-    s = i = d = n = 0
-    for ref, hyp in pairs:
-        ds, di, dd = edit_ops(ref, hyp).counts()
-        s += ds
-        i += di
-        d += dd
-        n += len(ref)
-    return s, i, d, n
+    return _edit_counts(_word_ids(pairs))
 
 
 def wer(pairs: Iterable[Pair]) -> float:
@@ -107,36 +186,61 @@ def wer(pairs: Iterable[Pair]) -> float:
     return 100.0 * (s + i + d) / n
 
 
-def _ngrams(words: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(words[k : k + n]) for k in range(len(words) - n + 1))
+def _ngram_counts(words: Sequence, max_n: int) -> Counter:
+    """Every 1..max_n-gram of a sentence in one Counter (orders never collide)."""
+    counts: Counter = Counter()
+    for n in range(1, max_n + 1):
+        counts.update(zip(*[words[k:] for k in range(n)]))
+    return counts
 
 
-def bleu(pairs: Iterable[Pair], max_n: int = 4) -> float:
-    """Corpus BLEU on 0..100 with clipped n-gram counts.
+def _clipped_matches(ref: Sequence, hyp: Sequence, max_n: int) -> List[int]:
+    """Hyp n-grams found in ref, clipped to the ref count, per order 1..max_n."""
+    ref_counts = _ngram_counts(ref, max_n)
+    matched = [0] * (max_n + 1)
+    for gram, count in _ngram_counts(hyp, max_n).items():
+        found = ref_counts.get(gram)
+        if found:
+            matched[len(gram)] += min(count, found)
+    return matched
 
-    Smoothing: for n >= 2 only, add one to numerator and denominator
+
+def _grams(length: int, n: int) -> int:
+    return max(length - n + 1, 0)
+
+
+def _gleu_of(overlap: int, ref_len: int, hyp_len: int, max_n: int) -> float:
+    ref_total = sum(_grams(ref_len, n) for n in range(1, max_n + 1))
+    hyp_total = sum(_grams(hyp_len, n) for n in range(1, max_n + 1))
+    if ref_total == 0 or hyp_total == 0:
+        return 0.0
+    return min(overlap / hyp_total, overlap / ref_total)
+
+
+def _ngram_scores(
+    pairs: Iterable[Tuple[Sequence, Sequence]], max_n: int
+) -> Tuple[float, float, int]:
+    """BLEU, the reference-weighted sum of sentence GLEU, and the reference
+    word count, from one n-gram count per sentence.
+
+    BLEU smoothing: for n >= 2 only, add one to numerator and denominator
     when either is zero at the corpus level (tiny corpora otherwise hit
     log 0).
     """
-    pairs = list(pairs)
     matched = [0] * (max_n + 1)
     total = [0] * (max_n + 1)
-    ref_len = 0
-    hyp_len = 0
+    ref_len = hyp_len = 0
+    weighted = 0.0
     for ref, hyp in pairs:
+        clipped = _clipped_matches(ref, hyp, max_n)
+        for n in range(1, max_n + 1):
+            matched[n] += clipped[n]
+            total[n] += _grams(len(hyp), n)
+        weighted += len(ref) * _gleu_of(sum(clipped), len(ref), len(hyp), max_n)
         ref_len += len(ref)
         hyp_len += len(hyp)
-        for n in range(1, max_n + 1):
-            hyp_counts = _ngrams(hyp, n)
-            if not hyp_counts:
-                continue
-            ref_counts = _ngrams(ref, n)
-            total[n] += sum(hyp_counts.values())
-            matched[n] += sum(
-                min(c, ref_counts.get(g, 0)) for g, c in hyp_counts.items()
-            )
     if hyp_len == 0:
-        return 0.0
+        return 0.0, weighted, ref_len
     log_sum = 0.0
     for n in range(1, max_n + 1):
         num, den = matched[n], total[n]
@@ -144,37 +248,29 @@ def bleu(pairs: Iterable[Pair], max_n: int = 4) -> float:
             num += 1
             den += 1
         if num == 0 or den == 0:
-            return 0.0
+            return 0.0, weighted, ref_len
         log_sum += math.log(num / den)
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return 100.0 * brevity * math.exp(log_sum / max_n)
+    return 100.0 * brevity * math.exp(log_sum / max_n), weighted, ref_len
+
+
+def bleu(pairs: Iterable[Pair], max_n: int = 4) -> float:
+    """Corpus BLEU on 0..100 with clipped n-gram counts."""
+    return _ngram_scores(pairs, max_n)[0]
 
 
 def sentence_gleu(ref: Sequence[str], hyp: Sequence[str], max_n: int = 4) -> float:
     """min(n-gram precision, n-gram recall) over the pooled 1..max_n grams."""
-    ref_counts: Counter = Counter()
-    hyp_counts: Counter = Counter()
-    for n in range(1, max_n + 1):
-        ref_counts.update(_ngrams(ref, n))
-        hyp_counts.update(_ngrams(hyp, n))
-    overlap = sum((ref_counts & hyp_counts).values())
-    ref_total = sum(ref_counts.values())
-    hyp_total = sum(hyp_counts.values())
-    if ref_total == 0 or hyp_total == 0:
-        return 0.0
-    return min(overlap / hyp_total, overlap / ref_total)
+    overlap = sum(_clipped_matches(ref, hyp, max_n))
+    return _gleu_of(overlap, len(ref), len(hyp), max_n)
 
 
 def gleu(pairs: Iterable[Pair], max_n: int = 4) -> float:
     """Reference-token-weighted mean of sentence GLEU, on 0..100."""
-    weighted = 0.0
-    weight = 0.0
-    for ref, hyp in pairs:
-        weighted += len(ref) * sentence_gleu(ref, hyp, max_n)
-        weight += len(ref)
-    if weight == 0:
+    _, weighted, ref_words = _ngram_scores(pairs, max_n)
+    if ref_words == 0:
         raise DegenerateInputError("GLEU over zero reference words")
-    return 100.0 * weighted / weight
+    return 100.0 * weighted / ref_words
 
 
 @dataclass(frozen=True)
@@ -191,14 +287,15 @@ class MetricsReport:
 
     @classmethod
     def compute(cls, pairs: Iterable[Pair]) -> "MetricsReport":
-        pairs = [(list(r), list(h)) for r, h in pairs]
-        s, i, d, n = corpus_edit_counts(pairs)
+        id_pairs = _word_ids(pairs)
+        s, i, d, n = _edit_counts(id_pairs)
         if n == 0:
             raise DegenerateInputError("metrics over zero reference words")
+        bleu_value, gleu_weighted, _ = _ngram_scores(id_pairs, 4)
         return cls(
             wer=100.0 * (s + i + d) / n,
-            bleu=bleu(pairs),
-            gleu=gleu(pairs),
+            bleu=bleu_value,
+            gleu=100.0 * gleu_weighted / n,
             substitutions=s,
             insertions=i,
             deletions=d,

@@ -73,6 +73,9 @@ class Tensor:
         for node in reversed(topo):
             if node._vjp is not None:
                 node._vjp(node.grad)
+                # Interior grads are spent: freeing them keeps memory down
+                # and makes a second backward add exactly one more gradient.
+                node.grad = None
 
     # Convenience arithmetic for tests and small compositions.
     def __add__(self, other):

@@ -23,6 +23,7 @@ from crossaec.acoustic import (
 from crossaec.nn import ParameterStore, Tensor, gradient_check, tensor_sum
 from crossaec.nn.layers import Linear
 from crossaec.text import CorpusRecord
+from crossaec.util import stable_hash
 
 
 def _table(words=("red", "blue", "green"), sigma=0.1, seed=0):
@@ -49,6 +50,19 @@ def test_synth_frames_deterministic():
     f1, _ = synth_frames(["red", "green"], table, 4, rng_seed=9)
     f2, _ = synth_frames(["red", "green"], table, 4, rng_seed=9)
     np.testing.assert_array_equal(f1, f2)
+
+
+def test_synth_frames_values_are_pinned():
+    # Digest of the frames drawn one word at a time, before the single draw.
+    table = _table()
+    words = ["red", "blue", "green", "red", "blue"]
+    frames, _ = synth_frames(words, table, 4, rng_seed=7)
+    assert stable_hash(frames.tolist()) == "1b87831301bec251"
+
+
+def test_synth_frames_empty_reference():
+    frames, bounds = synth_frames([], _table(), 4, rng_seed=7)
+    assert frames.shape == (0, 6) and bounds == []
 
 
 def test_synth_frames_missing_prototype():
@@ -153,6 +167,13 @@ def test_resample_matrix_matches_direct_resampling():
     direct = fft_resample(frames, 5)
     via_matrix = resample_matrix(9, 5) @ frames
     np.testing.assert_allclose(via_matrix, direct, atol=1e-12)
+
+
+def test_resample_matrix_is_cached_and_read_only():
+    matrix = resample_matrix(7, 3)
+    assert resample_matrix(7, 3) is matrix
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 1.0
 
 
 def test_project_features_zero_input_zero_bias_gives_zero():

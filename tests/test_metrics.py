@@ -4,10 +4,14 @@ import itertools
 import math
 from collections import Counter
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crossaec import metrics
 from crossaec.errors import DegenerateInputError
 from crossaec.metrics import (
     DELETE,
@@ -16,6 +20,7 @@ from crossaec.metrics import (
     MetricsReport,
     SUBSTITUTE,
     bleu,
+    corpus_edit_counts,
     edit_ops,
     gleu,
     wer,
@@ -39,6 +44,36 @@ def oracle_edit_distance(ref, hyp):
         return best
 
     return go(0, 0)
+
+
+def oracle_edit_counts(ref, hyp):
+    """(S, I, D) traced back from the end over the recursive prefix distance,
+    ties broken match > substitute > delete > insert."""
+
+    @lru_cache(maxsize=None)
+    def dist(i, j):
+        if i == 0 or j == 0:
+            return i + j
+        return min(
+            dist(i - 1, j - 1) + (ref[i - 1] != hyp[j - 1]),
+            dist(i - 1, j) + 1,
+            dist(i, j - 1) + 1,
+        )
+
+    s = ins = dels = 0
+    i, j = len(ref), len(hyp)
+    while i > 0 or j > 0:
+        differ = i > 0 and j > 0 and ref[i - 1] != hyp[j - 1]
+        if i > 0 and j > 0 and dist(i, j) == dist(i - 1, j - 1) + differ:
+            s += differ
+            i, j = i - 1, j - 1
+        elif i > 0 and dist(i, j) == dist(i - 1, j) + 1:
+            dels += 1
+            i -= 1
+        else:
+            ins += 1
+            j -= 1
+    return s, ins, dels
 
 
 def _ngram_list(ws, n):
@@ -276,3 +311,49 @@ def test_report_all_identical_pairs():
     assert report.wer == 0.0
     assert report.bleu == 100.0
     assert report.gleu == 100.0
+
+
+WORDS = st.sampled_from(("a", "b", "c", "d", "e"))
+
+
+@st.composite
+def ragged_corpora(draw):
+    """Random pairs plus an empty hypothesis, a one-word reference, a pair
+    far longer than the rest and a pair of one word repeated, shuffled."""
+    pairs = draw(
+        st.lists(
+            st.tuples(
+                st.lists(WORDS, min_size=1, max_size=8), st.lists(WORDS, max_size=8)
+            ),
+            max_size=10,
+        )
+    )
+    pairs.append((draw(st.lists(WORDS, min_size=1, max_size=8)), []))
+    pairs.append(([draw(WORDS)], draw(st.lists(WORDS, max_size=4))))
+    long_ref = draw(st.lists(WORDS, min_size=30, max_size=40))
+    pairs.append((long_ref, draw(st.lists(WORDS, min_size=25, max_size=45))))
+    word = draw(WORDS)
+    repeated_hyp = [word] * draw(st.integers(0, 12)) + draw(st.lists(WORDS, max_size=3))
+    pairs.append(([word] * draw(st.integers(1, 12)), repeated_hyp))
+    return draw(st.permutations(pairs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_corpora())
+def test_report_matches_oracles_over_ragged_corpora(pairs):
+    # Three pairs per table: every corpus spans several chunks.
+    with mock.patch.object(metrics, "CHUNK_PAIRS", 3):
+        report = MetricsReport.compute(pairs)
+        batched = corpus_edit_counts(pairs)
+    per_pair = [edit_ops(ref, hyp).counts() for ref, hyp in pairs]
+    for (ref, hyp), counts in zip(pairs, per_pair):
+        assert counts == oracle_edit_counts(ref, hyp)
+        assert sum(counts) == oracle_edit_distance(tuple(ref), tuple(hyp))
+    totals = tuple(sum(c[k] for c in per_pair) for k in range(3))
+    assert (report.substitutions, report.insertions, report.deletions) == totals
+    assert batched == totals + (report.ref_words,)
+    assert report.ref_words == sum(len(ref) for ref, _ in pairs)
+    assert report.wer == 100.0 * sum(totals) / report.ref_words
+    assert abs(report.bleu - oracle_bleu(pairs)) < 1e-9
+    assert abs(report.gleu - oracle_gleu(pairs)) < 1e-9
+    assert (report.bleu, report.gleu) == (bleu(pairs), gleu(pairs))

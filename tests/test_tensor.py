@@ -183,6 +183,18 @@ def test_grad_accumulates_across_reuse():
     np.testing.assert_allclose(t.grad, [[5.0]])
 
 
+def test_second_backward_adds_exactly_one_more_gradient():
+    # Depth 4: interior grads left over from the first pass used to be
+    # replayed by the second, giving 3-4x the leaf gradient instead of 2x.
+    a = rng.normal(size=(3, 3))
+    t = Tensor(a, requires_grad=True)
+    loss = tensor_sum(tanh(mul(t, t)) * 0.5)
+    loss.backward()
+    once = t.grad.copy()
+    loss.backward()
+    np.testing.assert_array_equal(t.grad, 2.0 * once)
+
+
 def test_no_grad_blocks_graph():
     t = Tensor(np.ones((2, 2)), requires_grad=True)
     with no_grad():
