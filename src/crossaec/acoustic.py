@@ -17,8 +17,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from crossaec.errors import AlignmentError, CoverageError, ShapeError
-from crossaec.nn.tensor import Tensor, add, matmul, tanh
+from crossaec.errors import (
+    AlignmentError,
+    CoverageError,
+    DegenerateInputError,
+    ShapeError,
+)
+from crossaec.nn.tensor import Tensor, linear, tanh
 
 Boundary = Tuple[int, int]
 
@@ -49,7 +54,13 @@ def read_frames(path) -> np.ndarray:
         raise ShapeError(
             f"{path}: expected {expected} payload bytes, found {len(payload)}"
         )
-    return np.frombuffer(payload, dtype="<f8").reshape(count, dim).copy()
+    frames = np.frombuffer(payload, dtype="<f8").reshape(count, dim).copy()
+    bad_rows = np.flatnonzero(~np.isfinite(frames).all(axis=1))
+    if bad_rows.size:
+        raise DegenerateInputError(
+            f"{path}: non-finite value in frame row {bad_rows[0]}"
+        )
+    return frames
 
 
 @dataclass
@@ -278,4 +289,4 @@ def pad_dsu(awe: np.ndarray, target_len: int) -> DsuSequence:
 
 def project_features(raw: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine feature-to-model-dim adapter with a tanh nonlinearity."""
-    return tanh(add(matmul(raw, weight), bias))
+    return tanh(linear(raw, weight, bias))

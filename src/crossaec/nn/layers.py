@@ -1,13 +1,17 @@
 """Layers and stacks: attention, feed-forward, norms, encoder, decoder.
 
-All sequence tensors are batched as (batch, length, model_dim); masks
-are boolean ndarrays shaped (batch, length) with True on real content.
+Layers own their parameters and compose the primitives of ``nn.tensor``:
+each ``Linear`` is one ``linear`` node, and ``MultiHeadAttention`` is
+four projections around one ``attention`` node, which splits and merges
+the heads itself. All sequence tensors are batched as (batch, length,
+model_dim); masks are boolean ndarrays shaped (batch, length) with True
+on real content.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -17,14 +21,11 @@ from crossaec.nn.params import ParameterStore
 from crossaec.nn.tensor import (
     Tensor,
     add,
+    attention,
     cross_entropy,
     embedding_lookup,
     layer_norm,
-    masked_softmax,
-    matmul,
-    reshape,
-    scale,
-    swapaxes,
+    linear,
 )
 from crossaec.nn.tensor import relu as relu_op
 
@@ -45,38 +46,6 @@ def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
     return table
 
 
-def scaled_dot_attention(
-    q: Tensor, k: Tensor, v: Tensor, key_mask: Optional[Sequence[bool]] = None
-) -> Tensor:
-    """softmax(QK^T / sqrt(d_k)) V over the unmasked key rows.
-
-    Plain single-head attention on 2D matrices; the scale is the shared
-    column count d_k. Masked keys receive exactly zero weight.
-    """
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ShapeError("scaled_dot_attention expects 2D matrices")
-    if q.data.shape[1] != k.data.shape[1]:
-        raise ShapeError(
-            f"query dim {q.data.shape[1]} != key dim {k.data.shape[1]}"
-        )
-    if k.data.shape[0] != v.data.shape[0]:
-        raise ShapeError(
-            f"key count {k.data.shape[0]} != value count {v.data.shape[0]}"
-        )
-    d_k = q.data.shape[1]
-    if key_mask is None:
-        mask = np.ones(k.data.shape[0], dtype=bool)
-    else:
-        mask = np.asarray(key_mask, dtype=bool)
-        if mask.shape != (k.data.shape[0],):
-            raise ShapeError("key_mask length must equal key count")
-    if not mask.any():
-        raise DegenerateInputError("attention with every key masked")
-    logits = scale(matmul(q, swapaxes(k, 0, 1)), 1.0 / math.sqrt(d_k))
-    weights = masked_softmax(logits, mask[None, :], axis=-1)
-    return matmul(weights, v)
-
-
 class Linear:
     def __init__(
         self,
@@ -93,8 +62,7 @@ class Linear:
         self.bias = store.create(f"{name}.bias", np.zeros(d_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = matmul(x, self.weight)
-        return add(out, self.bias) if self.bias is not None else out
+        return linear(x, self.weight, self.bias)
 
 
 class Embedding:
@@ -156,9 +124,7 @@ class MultiHeadAttention:
         num_heads: int,
         rng: np.random.Generator,
     ):
-        self.dim = dim
         self.num_heads = num_heads
-        self.head_dim = dim // num_heads
         self.q_proj = Linear(store, f"{name}.q_proj", dim, dim, rng)
         # A key bias shifts every logit in a softmax row equally, so its
         # gradient is identically zero; omit the dead parameter.
@@ -175,27 +141,24 @@ class MultiHeadAttention:
     ) -> Tensor:
         batch, lq, _ = query_in.data.shape
         lk = kv_in.data.shape[1]
-        q = self._split(self.q_proj(query_in), batch, lq)
-        k = self._split(self.k_proj(kv_in), batch, lk)
-        v = self._split(self.v_proj(kv_in), batch, lk)
-        logits = scale(
-            matmul(q, swapaxes(k, -1, -2)), 1.0 / math.sqrt(self.head_dim)
-        )
-        mask = np.ones((batch, 1, lq, lk), dtype=bool)
-        if key_mask is not None:
-            mask = mask & np.asarray(key_mask, dtype=bool)[:, None, None, :]
+        if key_mask is None:
+            mask = np.ones((batch, 1, lk), dtype=bool)
+        else:
+            mask = np.asarray(key_mask, dtype=bool)
+            if mask.shape != (batch, lk):
+                raise ShapeError(f"key_mask {mask.shape} is not ({batch}, {lk})")
+            mask = mask[:, None, :]
         if causal:
-            mask = mask & np.tril(np.ones((lq, lk), dtype=bool))
-        weights = masked_softmax(logits, mask, axis=-1)
-        mixed = matmul(weights, v)
-        merged = reshape(
-            swapaxes(mixed, 1, 2), (batch, lq, self.dim)
+            # Query i sees keys 0..i, as np.tril would give, but cheaper.
+            mask = mask & (np.arange(lk) <= np.arange(lq)[:, None])
+        mixed = attention(
+            self.q_proj(query_in),
+            self.k_proj(kv_in),
+            self.v_proj(kv_in),
+            self.num_heads,
+            mask,
         )
-        return self.o_proj(merged)
-
-    def _split(self, x: Tensor, batch: int, length: int) -> Tensor:
-        headed = reshape(x, (batch, length, self.num_heads, self.head_dim))
-        return swapaxes(headed, 1, 2)
+        return self.o_proj(mixed)
 
 
 class EncoderLayer:

@@ -50,10 +50,16 @@ class AdamOptimizer:
             m += (1.0 - cfg.beta1) * g
             v *= cfg.beta2
             v += (1.0 - cfg.beta2) * (g * g)
-            update = (m / bias1) / (np.sqrt(v / bias2) + cfg.epsilon)
+            # In place, in the order (m / bias1) / (sqrt(v / bias2) + eps).
+            update = m / bias1
+            denom = v / bias2
+            np.sqrt(denom, out=denom)
+            denom += cfg.epsilon
+            update /= denom
             if cfg.weight_decay != 0.0 and not cfg.is_exempt(name):
-                update = update + cfg.weight_decay * param.data
-            param.data = param.data - cfg.learning_rate * update
+                update += cfg.weight_decay * param.data
+            update *= cfg.learning_rate
+            param.data -= update
 
 
 def adam_step(

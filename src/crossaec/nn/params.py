@@ -23,7 +23,8 @@ class ParameterStore:
     def create(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._params:
             raise ShapeError(f"duplicate parameter name: {name}")
-        t = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
+        # A copy: the optimizer updates parameters in place.
+        t = Tensor(np.array(value, dtype=np.float64), requires_grad=True)
         self._params[name] = t
         return t
 

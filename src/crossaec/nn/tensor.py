@@ -7,6 +7,7 @@ finite-difference acceptance gate depends on it.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -179,17 +180,6 @@ def scale(a: Tensor, factor: float) -> Tensor:
     return _make(data, (a,), vjp)
 
 
-def mask_rows(a: Tensor, mask: np.ndarray) -> Tensor:
-    """Zero the entries where ``mask`` is false; constant mask, exact zeros."""
-    m = np.asarray(mask, dtype=np.float64)
-    data = a.data * m
-
-    def vjp(g):
-        _accumulate(a, _unbroadcast(g * m, a.data.shape))
-
-    return _make(data, (a,), vjp)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(
@@ -253,6 +243,26 @@ def tensor_sum(a: Tensor) -> Tensor:
     return _make(data, (a,), vjp)
 
 
+def _softmax(logits: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
+    """The kernel of ``masked_softmax`` and ``attention``: softmax along
+    ``axis`` where ``mask`` is true. ``mask`` has as many axes as
+    ``logits`` and broadcasts to it."""
+    # Broadcasting repeats rows, so checking the unbroadcast mask suffices.
+    if not mask.any(axis=axis).all():
+        raise DegenerateInputError("softmax row with every position masked")
+    # Masked entries become -inf, and exp(-inf) is exactly 0.
+    probs = np.where(mask, logits, -np.inf)
+    probs -= probs.max(axis=axis, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=axis, keepdims=True)
+    return probs
+
+
+def _softmax_vjp(probs: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    inner = (g * probs).sum(axis=axis, keepdims=True)
+    return probs * (g - inner)
+
+
 def masked_softmax(logits: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     """Softmax over the positions where ``mask`` is true.
 
@@ -260,36 +270,134 @@ def masked_softmax(logits: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     position is a degenerate input and is rejected.
     """
     m = np.broadcast_to(np.asarray(mask, dtype=bool), logits.data.shape)
-    if not m.any(axis=axis).all():
-        raise DegenerateInputError("softmax row with every position masked")
-    shifted = np.where(m, logits.data, -np.inf)
-    shifted = shifted - shifted.max(axis=axis, keepdims=True)
-    expd = np.where(m, np.exp(shifted), 0.0)
-    probs = expd / expd.sum(axis=axis, keepdims=True)
+    probs = _softmax(logits.data, m, axis)
 
     def vjp(g):
-        inner = (g * probs).sum(axis=axis, keepdims=True)
-        _accumulate(logits, probs * (g - inner))
+        _accumulate(logits, _softmax_vjp(probs, g, axis))
 
     return _make(probs, (logits,), vjp)
 
 
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """``x @ weight + bias`` over the last axis of ``x``, as one graph node.
+
+    The leading axes of ``x`` fold into rows, so the forward pass and
+    each gradient are single 2D matrix products.
+    """
+    d_in, d_out = weight.data.shape
+    if x.data.shape[-1] != d_in:
+        raise ShapeError(
+            f"linear input {x.data.shape} does not match weight {weight.data.shape}"
+        )
+    if bias is not None and bias.data.shape != (d_out,):
+        raise ShapeError(
+            f"linear bias {bias.data.shape} does not match {d_out} outputs"
+        )
+    lead = x.data.shape[:-1]
+    x2 = x.data.reshape(-1, d_in)
+    out = x2 @ weight.data
+    if bias is not None:
+        out += bias.data
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def vjp(g):
+        g2 = g.reshape(-1, d_out)
+        if x.requires_grad:
+            _accumulate(x, (g2 @ weight.data.T).reshape(x.data.shape))
+        if weight.requires_grad:
+            _accumulate(weight, x2.T @ g2)
+        if bias is not None:
+            _accumulate(bias, g2.sum(axis=0))
+
+    return _make(out.reshape(*lead, d_out), parents, vjp)
+
+
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask: np.ndarray
+) -> Tensor:
+    """Multi-head ``softmax(q k^T / sqrt(d_h)) v`` as one graph node.
+
+    ``q`` is (batch, lq, dim); ``k`` and ``v`` are (batch, lk, dim). Each
+    is split into ``num_heads`` heads of width ``d_h = dim / num_heads``,
+    and the heads are merged back into (batch, lq, dim). ``mask`` is a
+    boolean (batch or 1, lq or 1, lk) array, true where a query may
+    attend to a key; masked keys get exactly zero weight.
+    """
+    if (
+        q.data.ndim != 3
+        or k.data.ndim != 3
+        or k.data.shape[::2] != q.data.shape[::2]
+        or v.data.shape != k.data.shape
+    ):
+        raise ShapeError(
+            f"attention needs (batch, length, dim) q, k and v with one batch "
+            f"and dim and keys and values of one length; got q {q.data.shape}, "
+            f"k {k.data.shape}, v {v.data.shape}"
+        )
+    batch, lq, dim = q.data.shape
+    lk = k.data.shape[1]
+    if dim % num_heads:
+        raise ShapeError(f"dim {dim} is not divisible by {num_heads} heads")
+    mask = np.asarray(mask, dtype=bool)
+    if (
+        mask.ndim != 3
+        or mask.shape[0] not in (1, batch)
+        or mask.shape[1] not in (1, lq)
+        or mask.shape[2] != lk
+    ):
+        raise ShapeError(
+            f"attention mask {mask.shape} does not fit ({batch}, {lq}, {lk})"
+        )
+    dh = dim // num_heads
+    factor = 1.0 / math.sqrt(dh)
+    # (batch, heads, length, d_h) views of the projected inputs.
+    qh = q.data.reshape(batch, lq, num_heads, dh).swapaxes(1, 2)
+    kh = k.data.reshape(batch, lk, num_heads, dh).swapaxes(1, 2)
+    vh = v.data.reshape(batch, lk, num_heads, dh).swapaxes(1, 2)
+    logits = qh @ kh.swapaxes(-1, -2)
+    logits *= factor
+    probs = _softmax(logits, mask[:, None], -1)
+    out = (probs @ vh).swapaxes(1, 2).reshape(batch, lq, dim)
+
+    def merge(gh):
+        return gh.swapaxes(1, 2).reshape(batch, -1, dim)
+
+    def vjp(g):
+        gh = g.reshape(batch, lq, num_heads, dh).swapaxes(1, 2)
+        if v.requires_grad:
+            _accumulate(v, merge(probs.swapaxes(-1, -2) @ gh))
+        glogits = _softmax_vjp(probs, gh @ vh.swapaxes(-1, -2), -1)
+        glogits *= factor
+        if q.requires_grad:
+            _accumulate(q, merge(glogits @ kh))
+        if k.requires_grad:
+            _accumulate(k, merge(glogits.swapaxes(-1, -2) @ qh))
+
+    return _make(out, (q, k, v), vjp)
+
+
 def layer_norm(x: Tensor, gain: Tensor, offset: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then rescale."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    n = x.data.shape[-1]
+    # sum / n is what ndarray.mean computes, without its wrapper's cost.
+    mu = x.data.sum(axis=-1, keepdims=True) / n
+    xhat = x.data - mu
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    data = xhat * gain.data + offset.data
+    xhat *= inv
+    data = xhat * gain.data
+    data += offset.data
 
     def vjp(g):
         _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
         _accumulate(offset, _unbroadcast(g, offset.data.shape))
         gx = g * gain.data
-        mean_gx = gx.mean(axis=-1, keepdims=True)
-        mean_gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, inv * (gx - mean_gx - xhat * mean_gx_xhat))
+        mean_gx = gx.sum(axis=-1, keepdims=True) / n
+        mean_gx_xhat = (gx * xhat).sum(axis=-1, keepdims=True) / n
+        gx -= mean_gx
+        gx -= xhat * mean_gx_xhat
+        gx *= inv
+        _accumulate(x, gx)
 
     return _make(data, (x, gain, offset), vjp)
 
@@ -323,16 +431,19 @@ def cross_entropy(
         )
     x = logits.data
     mx = x.max(axis=-1, keepdims=True)
-    lse = mx[..., 0] + np.log(np.exp(x - mx).sum(axis=-1))
+    expd = x - mx
+    np.exp(expd, out=expd)
+    total = expd.sum(axis=-1, keepdims=True)
+    lse = mx[..., 0] + np.log(total[..., 0])
     picked = np.take_along_axis(x, ids[..., None], axis=-1)[..., 0]
     data = np.asarray(((lse - picked) * w).sum())
 
     def vjp(g):
-        probs = np.exp(x - mx)
-        probs /= probs.sum(axis=-1, keepdims=True)
+        probs = expd / total
         at_target = np.take_along_axis(probs, ids[..., None], axis=-1) - 1.0
         np.put_along_axis(probs, ids[..., None], at_target, axis=-1)
-        _accumulate(logits, probs * (w * float(g))[..., None])
+        probs *= (w * float(g))[..., None]
+        _accumulate(logits, probs)
 
     return _make(data, (logits,), vjp)
 

@@ -162,6 +162,11 @@ def _record_from_payload(payload: dict, where: str) -> CorpusRecord:
     if not isinstance(rec_id, str) or not isinstance(ref, str):
         raise CorpusFormatError(f"{where}: id and ref must be strings")
     hyp = payload.get("hyp", "")
+    frames = payload.get("frames")
+    if not isinstance(hyp, str):
+        raise CorpusFormatError(f"{where}: hyp must be a string")
+    if frames is not None and not isinstance(frames, str):
+        raise CorpusFormatError(f"{where}: frames must be a path string")
     boundaries = payload.get("boundaries")
     if boundaries is not None:
         try:
@@ -175,7 +180,7 @@ def _record_from_payload(payload: dict, where: str) -> CorpusRecord:
             id=rec_id,
             ref_words=normalize_words(ref),
             hyp_words=normalize_words(hyp),
-            frames_path=payload.get("frames"),
+            frames_path=frames,
             boundaries=boundaries,
         )
     except CorpusFormatError as exc:

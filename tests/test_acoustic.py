@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from crossaec.errors import AlignmentError, CoverageError, ShapeError
+from crossaec.errors import (
+    AlignmentError,
+    CoverageError,
+    DegenerateInputError,
+    ShapeError,
+)
 from crossaec.acoustic import (
     PrototypeTable,
     build_prototypes,
@@ -232,6 +237,18 @@ def test_frame_file_round_trip(tmp_path):
     path = tmp_path / "frames.bin"
     write_frames(frames, path)
     np.testing.assert_array_equal(read_frames(path), frames)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_read_frames_rejects_non_finite_payload(tmp_path, bad):
+    frames = np.ones((3, 2))
+    frames[1, 0] = bad
+    frames[2, 1] = bad
+    path = tmp_path / "frames.bin"
+    write_frames(frames, path)
+    with pytest.raises(DegenerateInputError) as err:
+        read_frames(path)
+    assert str(path) in str(err.value) and "row 1" in str(err.value)
 
 
 def test_load_alignment_accepts_synth_output(tmp_path):

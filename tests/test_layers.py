@@ -20,38 +20,55 @@ from crossaec.nn import (
     adam_step,
     cross_entropy,
     cross_entropy_loss,
+    attention,
     gradient_check,
-    scaled_dot_attention,
+    linear,
+    masked_softmax,
+    matmul,
+    mul,
+    reshape,
+    scale,
+    swapaxes,
     tensor_sum,
 )
-from crossaec.nn.tensor import _make, tanh
+from crossaec.nn.tensor import _make, add, tanh
 
 
-def test_scaled_dot_attention_single_key_returns_value():
-    q = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
-    k = Tensor(np.ones((1, 4)))
-    v = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
-    out = scaled_dot_attention(q, k, v).data
+def _attend(q, k, v, key_mask=None):
+    """Single-head ``attention`` over 2D (length, d) matrices."""
+    lk = len(k)
+    mask = np.ones(lk, dtype=bool) if key_mask is None else key_mask
+    out = attention(
+        Tensor(q[None]), Tensor(k[None]), Tensor(v[None]), 1, mask[None, None, :]
+    )
+    return out.data[0]
+
+
+def test_attention_single_key_returns_value():
+    q = np.random.default_rng(0).normal(size=(3, 4))
+    k = np.ones((1, 4))
+    v = np.array([[1.0, 2.0, 3.0, 4.0]])
+    out = _attend(q, k, v)
     for row in out:
-        np.testing.assert_allclose(row, v.data[0], atol=1e-12)
+        np.testing.assert_allclose(row, v[0], atol=1e-12)
 
 
-def test_scaled_dot_attention_identical_keys_average_values():
+def test_attention_identical_keys_average_values():
     rng = np.random.default_rng(1)
-    q = Tensor(rng.normal(size=(2, 3)))
-    k = Tensor(np.tile(rng.normal(size=(1, 3)), (5, 1)))
-    v = Tensor(rng.normal(size=(5, 3)))
-    out = scaled_dot_attention(q, k, v).data
-    np.testing.assert_allclose(out, np.tile(v.data.mean(axis=0), (2, 1)), atol=1e-12)
+    q = rng.normal(size=(2, 3))
+    k = np.tile(rng.normal(size=(1, 3)), (5, 1))
+    v = rng.normal(size=(5, 3))
+    out = _attend(q, k, v)
+    np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (2, 1)), atol=1e-12)
 
 
-def test_scaled_dot_attention_two_key_hand_case():
+def test_attention_two_key_hand_case():
     # Inputs built so the logits are exactly {ln 2, 0}: softmax = (2/3, 1/3),
     # so the output mixes V as 2/3*1 + 1/3*4 = 2.
-    q = Tensor(np.array([[1.0]]))
-    k = Tensor(np.array([[math.log(2.0)], [0.0]]))
-    v = Tensor(np.array([[1.0], [4.0]]))
-    out = scaled_dot_attention(q, k, v).data
+    q = np.array([[1.0]])
+    k = np.array([[math.log(2.0)], [0.0]])
+    v = np.array([[1.0], [4.0]])
+    out = _attend(q, k, v)
     assert abs(out[0, 0] - 2.0) < 1e-9
     # Independent scalar brute-force evaluation of the same definition.
     logits = np.array([1.0 * math.log(2.0), 0.0]) / math.sqrt(1)
@@ -61,32 +78,38 @@ def test_scaled_dot_attention_two_key_hand_case():
     assert abs(out[0, 0] - brute) < 1e-12
 
 
-def test_scaled_dot_attention_masked_keys_get_zero_weight():
+def test_attention_masked_keys_get_zero_weight():
     rng = np.random.default_rng(2)
-    q = Tensor(rng.normal(size=(2, 3)))
-    k = Tensor(rng.normal(size=(4, 3)))
-    v = Tensor(rng.normal(size=(4, 3)))
+    q = rng.normal(size=(2, 3))
+    k = rng.normal(size=(4, 3))
+    v = rng.normal(size=(4, 3))
     mask = np.array([True, False, True, False])
-    out = scaled_dot_attention(q, k, v, mask).data
+    out = _attend(q, k, v, mask)
     # Equivalent to attention over only the kept rows.
-    out_kept = scaled_dot_attention(
-        Tensor(q.data), Tensor(k.data[mask]), Tensor(v.data[mask])
-    ).data
-    np.testing.assert_allclose(out, out_kept, atol=1e-12)
+    np.testing.assert_allclose(out, _attend(q, k[mask], v[mask]), atol=1e-12)
 
 
-def test_scaled_dot_attention_errors():
-    with pytest.raises(ShapeError):
-        scaled_dot_attention(
-            Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4)))
-        )
+def test_attention_errors():
+    ones = np.ones
+    with pytest.raises(ShapeError):  # query and key dims differ
+        _attend(ones((2, 3)), ones((2, 4)), ones((2, 4)))
+    with pytest.raises(ShapeError):  # key and value lengths differ
+        _attend(ones((2, 3)), ones((2, 3)), ones((3, 3)))
+    with pytest.raises(ShapeError):  # mask does not fit the keys
+        _attend(ones((2, 3)), ones((2, 3)), ones((2, 3)), np.ones(3, dtype=bool))
+    with pytest.raises(ShapeError):  # heads do not divide dim
+        x = Tensor(ones((1, 2, 3)))
+        attention(x, x, x, 2, np.ones((1, 1, 2), dtype=bool))
     with pytest.raises(DegenerateInputError):
-        scaled_dot_attention(
-            Tensor(np.ones((2, 3))),
-            Tensor(np.ones((2, 3))),
-            Tensor(np.ones((2, 3))),
-            np.array([False, False]),
-        )
+        _attend(ones((2, 3)), ones((2, 3)), ones((2, 3)), np.array([False, False]))
+
+
+@pytest.mark.parametrize("key_mask", [np.ones(3, bool), np.ones((1, 2), bool)])
+def test_multi_head_attention_rejects_misshapen_key_mask(key_mask):
+    attn = MultiHeadAttention(ParameterStore(), "attn", 4, 2, _tiny_rng())
+    x = Tensor(np.ones((1, 3, 4)))
+    with pytest.raises(ShapeError):
+        attn(x, x, key_mask=key_mask)
 
 
 def test_cross_entropy_loss_uniform_logits_is_log_vocab():
@@ -179,6 +202,110 @@ def test_gradcheck_attention():
         return tensor_sum(tanh(attn(Tensor(x), Tensor(kv), key_mask=mask)))
 
     assert gradient_check(loss, store) <= 1e-4
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (2, 3, 5)])
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_gradcheck_linear_primitive(shape, with_bias):
+    rng = np.random.default_rng(12)
+    store = ParameterStore()
+    # The input is a parameter too, so its gradient is checked as well.
+    x = store.create("x", rng.normal(size=shape))
+    weight = store.create("weight", rng.normal(size=(5, 3)))
+    bias = store.create("bias", rng.normal(size=3)) if with_bias else None
+
+    def loss():
+        return tensor_sum(tanh(linear(x, weight, bias)))
+
+    assert gradient_check(loss, store) <= 1e-6
+
+
+def _attention_inputs(store, rng, batch, lq, lk, dim):
+    q = store.create("q", rng.normal(size=(batch, lq, dim)))
+    k = store.create("k", rng.normal(size=(batch, lk, dim)))
+    v = store.create("v", rng.normal(size=(batch, lk, dim)))
+    return q, k, v
+
+
+def test_gradcheck_attention_primitive_causal_padded_self():
+    rng = np.random.default_rng(13)
+    store = ParameterStore()
+    q, k, v = _attention_inputs(store, rng, 2, 5, 5, 6)
+    key_mask = np.ones((2, 5), dtype=bool)
+    key_mask[1, 3:] = False
+    mask = key_mask[:, None, :] & np.tril(np.ones((5, 5), dtype=bool))
+
+    def loss():
+        return tensor_sum(tanh(attention(q, k, v, 2, mask)))
+
+    assert gradient_check(loss, store) <= 1e-6
+
+
+def test_gradcheck_attention_primitive_padded_cross():
+    rng = np.random.default_rng(14)
+    store = ParameterStore()
+    q, k, v = _attention_inputs(store, rng, 2, 3, 6, 4)
+    memory_mask = np.ones((2, 6), dtype=bool)
+    memory_mask[0, 4:] = False
+
+    def loss():
+        return tensor_sum(tanh(attention(q, k, v, 2, memory_mask[:, None, :])))
+
+    assert gradient_check(loss, store) <= 1e-6
+
+
+def _reference_attention(attn, query_in, kv_in, key_mask, causal):
+    """MultiHeadAttention as a composition of matmul, scale, masked_softmax,
+    reshape and swapaxes nodes, one per step."""
+    batch, lq, dim = query_in.data.shape
+    lk = kv_in.data.shape[1]
+    heads, dh = attn.num_heads, dim // attn.num_heads
+
+    def project(lin, x):
+        out = matmul(x, lin.weight)
+        return add(out, lin.bias) if lin.bias is not None else out
+
+    def split(x, length):
+        return swapaxes(reshape(x, (batch, length, heads, dh)), 1, 2)
+
+    q = split(project(attn.q_proj, query_in), lq)
+    k = split(project(attn.k_proj, kv_in), lk)
+    v = split(project(attn.v_proj, kv_in), lk)
+    logits = scale(matmul(q, swapaxes(k, -1, -2)), 1.0 / math.sqrt(dh))
+    mask = np.ones((batch, 1, lq, lk), dtype=bool)
+    mask = mask & key_mask[:, None, None, :]
+    if causal:
+        mask = mask & np.tril(np.ones((lq, lk), dtype=bool))
+    mixed = matmul(masked_softmax(logits, mask), v)
+    merged = reshape(swapaxes(mixed, 1, 2), (batch, lq, dim))
+    return project(attn.o_proj, merged)
+
+
+@pytest.mark.parametrize("causal", [True, False])
+def test_attention_matches_reference_composition(causal):
+    rng = np.random.default_rng(15)
+    store = ParameterStore()
+    attn = MultiHeadAttention(store, "attn", 8, 2, rng)
+    x = store.create("x", rng.normal(size=(3, 5, 8)))
+    kv = x if causal else store.create("kv", rng.normal(size=(3, 7, 8)))
+    key_mask = np.ones(kv.data.shape[:2], dtype=bool)
+    key_mask[1, 3:] = False
+    probe = Tensor(rng.normal(size=x.data.shape))
+
+    def outputs_and_grads(forward):
+        store.zero_grad()
+        out = forward(attn, x, kv, key_mask, causal)
+        tensor_sum(mul(out, probe)).backward()
+        return out.data, {name: t.grad.copy() for name, t in store.items()}
+
+    out, grads = outputs_and_grads(
+        lambda a, q, m, mask, c: a(q, m, key_mask=mask, causal=c)
+    )
+    ref_out, ref_grads = outputs_and_grads(_reference_attention)
+    np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12)
 
 
 def test_gradcheck_output_projection_with_loss():

@@ -1,5 +1,7 @@
 """Gradient exactness of the autodiff primitives against finite differences."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from crossaec.errors import DegenerateInputError, ShapeError
 from crossaec.nn import (
     Tensor,
     add,
+    attention,
     cross_entropy,
     embedding_lookup,
     layer_norm,
+    linear,
     masked_softmax,
     matmul,
     mul,
@@ -100,6 +104,13 @@ def test_masked_softmax_rows_sum_to_one():
     probs = masked_softmax(logits, mask).data
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
     assert (probs[~mask] == 0.0).all()
+
+
+def test_masked_softmax_large_logits_stay_finite():
+    logits = Tensor(np.array([[1000.0, 999.0, -1000.0]]))
+    probs = masked_softmax(logits, np.array([[True, True, False]])).data
+    e = math.exp(-1.0)
+    np.testing.assert_allclose(probs, [[1 / (1 + e), e / (1 + e), 0.0]], atol=1e-15)
 
 
 def test_masked_softmax_grad():
@@ -197,6 +208,12 @@ def test_second_backward_adds_exactly_one_more_gradient():
 
 def test_no_grad_blocks_graph():
     t = Tensor(np.ones((2, 2)), requires_grad=True)
+    bias = Tensor(np.ones(2), requires_grad=True)
+    seq = Tensor(np.ones((1, 2, 2)), requires_grad=True)
     with no_grad():
-        out = mul(t, t)
-    assert not out.requires_grad
+        outs = [
+            mul(t, t),
+            linear(seq, t, bias),
+            attention(seq, seq, seq, 2, np.ones((1, 1, 2), dtype=bool)),
+        ]
+    assert not any(out.requires_grad for out in outs)

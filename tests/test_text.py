@@ -153,6 +153,22 @@ def test_load_corpus_reports_line_numbers(tmp_path):
     assert ":2:" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"id": "a", "ref": "x y", "hyp": 3}',
+        '{"id": "a", "ref": "x y", "hyp": "x y", "frames": 5}',
+    ],
+    ids=["hyp", "frames"],
+)
+def test_load_corpus_rejects_non_string_hyp_and_frames(tmp_path, record):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "ok", "ref": "a"}\n' + record + "\n")
+    with pytest.raises(CorpusFormatError) as err:
+        load_corpus(path)
+    assert str(err.value).startswith(f"{path}:2:")
+
+
 def test_boundary_count_must_match_hyp(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "x", "ref": "a b", "hyp": "a", "boundaries": [[0, 1], [1, 2]]}\n')
