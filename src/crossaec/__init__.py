@@ -1,8 +1,9 @@
-"""Crossmodal ASR error correction at desk scale.
+"""Crossmodal ASR error correction at desk scale: so far, the parts.
 
-A trainable encoder/decoder corrector that fuses per-word acoustic
-vectors into word embeddings via cross-attention, plus a simulated ASR
-error channel, WER/BLEU/GLEU metrics, and a seeded experiment harness.
+Float64 autodiff, transformer layers, Adam and a gradient check
+(``crossaec.nn``); synthetic word-aligned acoustics, mean pooling, FFT
+resampling and padded DSU sequences (``acoustic``); a vocabulary and JSONL
+corpus I/O (``text``); WER, BLEU and GLEU (``metrics``).
 """
 
 __version__ = "0.1.0"

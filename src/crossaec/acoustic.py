@@ -8,12 +8,10 @@ continuous baselines are Fourier-resampled frame sequences.
 
 from __future__ import annotations
 
-import functools
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,7 +76,17 @@ class PrototypeTable:
     def __post_init__(self):
         if self.noise_sigma < 0:
             raise ShapeError("noise_sigma must be >= 0")
+        if not self.prototypes:
+            raise CoverageError("prototype table has no words")
+        shapes = {np.shape(v) for v in self.prototypes.values()}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise ShapeError(
+                f"prototypes must be vectors of one dimension, got shapes "
+                f"{sorted(shapes)}"
+            )
         for a, b in self.confusable_pairs:
+            if a not in self.prototypes or b not in self.prototypes:
+                raise CoverageError(f"confusable pair ({a}, {b}) has no prototype")
             gap = float(np.linalg.norm(self.prototypes[a] - self.prototypes[b]))
             if gap < 4.0 * self.noise_sigma:
                 raise CoverageError(
@@ -89,28 +97,6 @@ class PrototypeTable:
     @property
     def dim(self) -> int:
         return next(iter(self.prototypes.values())).shape[0]
-
-    def save(self, path) -> None:
-        payload = {
-            "noise_sigma": self.noise_sigma,
-            "confusable_pairs": [list(p) for p in self.confusable_pairs],
-            "prototypes": {w: v.tolist() for w, v in self.prototypes.items()},
-        }
-        Path(path).write_text(json.dumps(payload, sort_keys=True))
-
-    @classmethod
-    def load(cls, path) -> "PrototypeTable":
-        payload = json.loads(Path(path).read_text())
-        return cls(
-            prototypes={
-                w: np.asarray(v, dtype=np.float64)
-                for w, v in payload["prototypes"].items()
-            },
-            noise_sigma=float(payload["noise_sigma"]),
-            confusable_pairs=tuple(
-                (a, b) for a, b in payload.get("confusable_pairs", [])
-            ),
-        )
 
 
 def build_prototypes(
@@ -246,30 +232,11 @@ def fft_resample(frames: np.ndarray, target_len: int) -> np.ndarray:
     return resampled
 
 
-@functools.lru_cache(maxsize=128)
-def resample_matrix(source_len: int, target_len: int) -> np.ndarray:
-    """The (target_len, source_len) linear operator realized by fft_resample.
-
-    fft_resample is linear in its input, so applying this matrix is
-    exactly equivalent; the matrix form lets gradients flow through a
-    plain matmul when resampling projected features. The matrix is
-    cached and shared between callers, so it is read-only.
-    """
-    matrix = fft_resample(np.eye(source_len), target_len)
-    matrix.setflags(write=False)
-    return matrix
-
-
-@dataclass
-class DsuSequence:
+class DsuSequence(NamedTuple):
     """Fixed-length per-word vectors with a padding mask."""
 
     vectors: np.ndarray
     pad_mask: np.ndarray
-
-    def __post_init__(self):
-        if self.vectors.shape[0] != self.pad_mask.shape[0]:
-            raise ShapeError("mask length must equal row count")
 
 
 def pad_dsu(awe: np.ndarray, target_len: int) -> DsuSequence:
@@ -284,7 +251,7 @@ def pad_dsu(awe: np.ndarray, target_len: int) -> DsuSequence:
     vectors[:count] = awe
     mask = np.zeros(target_len, dtype=bool)
     mask[:count] = True
-    return DsuSequence(vectors=vectors, pad_mask=mask)
+    return DsuSequence(vectors, mask)
 
 
 def project_features(raw: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

@@ -1,7 +1,7 @@
 """Reference metrics: WER from a Levenshtein alignment, BLEU, and GLEU.
 
 WER, BLEU, and GLEU are reported on a 0..100 scale. The same alignment
-drives WER, the per-type error counts, and the channel profiler.
+drives WER and the per-type error counts.
 
 ``MetricsReport.compute`` scores a corpus in one pass. Its words are
 mapped to integers once. The Levenshtein tables of all pairs are built
@@ -9,8 +9,8 @@ together in numpy, one reference row per step, in chunks of pairs sorted
 by length; a per-pair backtrace in Python then reads off the S/I/D
 counts. Each sentence's 1..4-grams are counted once, and the clipped
 matches feed both BLEU's corpus totals and the sentence GLEU overlap.
-``edit_ops``, ``corpus_edit_counts``, ``wer``, ``bleu``, ``gleu`` and
-``sentence_gleu`` call the same table, backtrace and n-gram code.
+``edit_ops``, ``corpus_edit_counts``, ``wer``, ``bleu`` and ``gleu`` call
+the same table, backtrace and n-gram code.
 """
 
 from __future__ import annotations
@@ -210,6 +210,8 @@ def _grams(length: int, n: int) -> int:
 
 
 def _gleu_of(overlap: int, ref_len: int, hyp_len: int, max_n: int) -> float:
+    """Sentence GLEU: min(n-gram precision, n-gram recall) over the
+    pooled 1..max_n grams."""
     ref_total = sum(_grams(ref_len, n) for n in range(1, max_n + 1))
     hyp_total = sum(_grams(hyp_len, n) for n in range(1, max_n + 1))
     if ref_total == 0 or hyp_total == 0:
@@ -257,12 +259,6 @@ def _ngram_scores(
 def bleu(pairs: Iterable[Pair], max_n: int = 4) -> float:
     """Corpus BLEU on 0..100 with clipped n-gram counts."""
     return _ngram_scores(pairs, max_n)[0]
-
-
-def sentence_gleu(ref: Sequence[str], hyp: Sequence[str], max_n: int = 4) -> float:
-    """min(n-gram precision, n-gram recall) over the pooled 1..max_n grams."""
-    overlap = sum(_clipped_matches(ref, hyp, max_n))
-    return _gleu_of(overlap, len(ref), len(hyp), max_n)
 
 
 def gleu(pairs: Iterable[Pair], max_n: int = 4) -> float:

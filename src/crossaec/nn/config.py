@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass
 from typing import Tuple
 
 from crossaec.errors import ConfigurationError
@@ -41,10 +41,6 @@ class ModelConfig:
                 f"model_dim {self.model_dim} not divisible by "
                 f"num_heads {self.num_heads}"
             )
-
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.num_heads
 
     def to_dict(self) -> dict:
         return asdict(self)

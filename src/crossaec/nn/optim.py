@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict
 
 import numpy as np
 
-from crossaec.errors import ConfigurationError
 from crossaec.nn.config import OptimizerConfig
 from crossaec.nn.params import ParameterStore
 
@@ -21,11 +20,10 @@ class AdamOptimizer:
         self._m: Dict[str, np.ndarray] = {}
         self._v: Dict[str, np.ndarray] = {}
 
-    def step(self, frozen_prefixes: Optional[Set[str]] = None) -> None:
+    def step(self) -> None:
         """Apply one update from the gradients currently in the store.
 
-        Parameters with no gradient, or whose name starts with one of
-        ``frozen_prefixes``, are left untouched.
+        Parameters with no gradient are left untouched.
         """
         self.step_count += 1
         cfg = self.config
@@ -34,10 +32,6 @@ class AdamOptimizer:
         bias2 = 1.0 - cfg.beta2**t
         for name, param in self.store.items():
             if param.grad is None:
-                continue
-            if frozen_prefixes and any(
-                name.startswith(p) for p in frozen_prefixes
-            ):
                 continue
             g = param.grad
             m = self._m.get(name)
@@ -61,27 +55,3 @@ class AdamOptimizer:
             update *= cfg.learning_rate
             param.data -= update
 
-
-def adam_step(
-    params: ParameterStore,
-    config: OptimizerConfig,
-    step_index: int,
-    state: Optional[AdamOptimizer] = None,
-) -> AdamOptimizer:
-    """One Adam update at the given 1-based step index.
-
-    Stateless convenience over :class:`AdamOptimizer`: pass the returned
-    object back in to continue the same moment estimates.
-    """
-    if step_index < 1:
-        raise ConfigurationError("step_index must be >= 1")
-    if state is None:
-        state = AdamOptimizer(params, config)
-        state.step_count = step_index - 1
-    elif state.step_count != step_index - 1:
-        raise ConfigurationError(
-            f"step_index {step_index} does not continue optimizer state "
-            f"at step {state.step_count}"
-        )
-    state.step(None)
-    return state

@@ -31,17 +31,8 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def items(self) -> Iterator[Tuple[str, Tensor]]:
         return iter(self._params.items())
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def zero_grad(self) -> None:
         for t in self._params.values():

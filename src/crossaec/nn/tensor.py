@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,13 +42,6 @@ class Tensor:
         self._parents: tuple = ()
         self._vjp: Optional[Callable[[np.ndarray], None]] = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable leaf."""
         if self.data.size != 1:
@@ -78,27 +71,6 @@ class Tensor:
                 # and makes a second backward add exactly one more gradient.
                 node.grad = None
 
-    # Convenience arithmetic for tests and small compositions.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -106,10 +78,6 @@ class Tensor:
 def constant(data) -> Tensor:
     """A tensor that never receives gradients (masks, position tables)."""
     return Tensor(data, requires_grad=False)
-
-
-def _as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
@@ -147,16 +115,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         _accumulate(a, _unbroadcast(g, a.data.shape))
         _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return _make(data, (a, b), vjp)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def vjp(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
 
     return _make(data, (a, b), vjp)
 
@@ -446,13 +404,3 @@ def cross_entropy(
         _accumulate(logits, probs)
 
     return _make(data, (logits,), vjp)
-
-
-def collect_finite(tensors: Iterable[Tensor]) -> bool:
-    """True when every tensor's values (and grads, if any) are finite."""
-    for t in tensors:
-        if not np.isfinite(t.data).all():
-            return False
-        if t.grad is not None and not np.isfinite(t.grad).all():
-            return False
-    return True

@@ -10,10 +10,10 @@ punctuation-insensitive by construction.
 from __future__ import annotations
 
 import json
-import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -23,8 +23,6 @@ from crossaec.errors import (
     SequenceLengthError,
     VocabularyError,
 )
-
-log = logging.getLogger(__name__)
 
 PAD_ID = 0
 BOS_ID = 1
@@ -170,11 +168,16 @@ def _record_from_payload(payload: dict, where: str) -> CorpusRecord:
     boundaries = payload.get("boundaries")
     if boundaries is not None:
         try:
-            boundaries = [(int(s), int(e)) for s, e in boundaries]
+            boundaries = [(s, e) for s, e in boundaries]
+            # JSON integers only: int() would also take floats, numeric
+            # strings and booleans.
+            integers = set(map(type, chain.from_iterable(boundaries))) <= {int}
         except (TypeError, ValueError):
+            integers = False
+        if not integers:
             raise CorpusFormatError(
                 f"{where}: boundaries must be [start, end] integer pairs"
-            ) from None
+            )
     try:
         return CorpusRecord(
             id=rec_id,
@@ -190,9 +193,15 @@ def _record_from_payload(payload: dict, where: str) -> CorpusRecord:
 def load_corpus(path) -> List[CorpusRecord]:
     """Read one JSON record per line; malformed lines carry line numbers."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    # Bytes, decoded line by line, so a bad byte is reported on its line.
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: not UTF-8 (byte {exc.start}: {exc.reason})"
+                ) from None
             if not line:
                 continue
             try:

@@ -20,7 +20,6 @@ from crossaec.acoustic import (
     pad_dsu,
     project_features,
     read_frames,
-    resample_matrix,
     synth_frames,
     validate_boundaries,
     write_frames,
@@ -91,6 +90,29 @@ def test_confusable_pair_separation_enforced():
     with pytest.raises(CoverageError):
         PrototypeTable(
             prototypes={"a": np.zeros(3), "b": np.zeros(3)},
+            noise_sigma=0.1,
+            confusable_pairs=(("a", "b"),),
+        )
+
+
+def test_prototype_table_rejects_empty_table():
+    with pytest.raises(CoverageError):
+        PrototypeTable(prototypes={}, noise_sigma=0.1)
+    with pytest.raises(CoverageError):
+        build_prototypes([], [], 6, 0.1, seed=0)
+
+
+def test_prototype_table_rejects_unequal_dimensions():
+    with pytest.raises(ShapeError):
+        PrototypeTable(prototypes={"a": np.zeros(3), "b": np.zeros(4)}, noise_sigma=0.1)
+    with pytest.raises(ShapeError):
+        PrototypeTable(prototypes={"a": np.zeros((2, 3))}, noise_sigma=0.1)
+
+
+def test_prototype_table_rejects_confusable_pair_without_prototype():
+    with pytest.raises(CoverageError):
+        PrototypeTable(
+            prototypes={"a": np.zeros(3)},
             noise_sigma=0.1,
             confusable_pairs=(("a", "b"),),
         )
@@ -167,18 +189,16 @@ def test_fft_resample_preserves_column_means():
         )
 
 
-def test_resample_matrix_matches_direct_resampling():
-    frames = np.random.default_rng(3).normal(size=(9, 4))
-    direct = fft_resample(frames, 5)
-    via_matrix = resample_matrix(9, 5) @ frames
-    np.testing.assert_allclose(via_matrix, direct, atol=1e-12)
-
-
-def test_resample_matrix_is_cached_and_read_only():
-    matrix = resample_matrix(7, 3)
-    assert resample_matrix(7, 3) is matrix
-    with pytest.raises(ValueError):
-        matrix[0, 0] = 1.0
+def test_fft_resample_is_linear():
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(2, 9, 4))
+    a, b = 1.7, -0.6
+    for target in (5, 14):  # down- and up-sampling
+        np.testing.assert_allclose(
+            fft_resample(a * x + b * y, target),
+            a * fft_resample(x, target) + b * fft_resample(y, target),
+            atol=1e-12,
+        )
 
 
 def test_project_features_zero_input_zero_bias_gives_zero():

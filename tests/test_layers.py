@@ -17,7 +17,6 @@ from crossaec.nn import (
     OptimizerConfig,
     ParameterStore,
     Tensor,
-    adam_step,
     cross_entropy,
     cross_entropy_loss,
     attention,
@@ -317,7 +316,7 @@ def test_gradcheck_output_projection_with_loss():
 
     def loss():
         h = tanh(emb(ids))
-        logits = h @ Tensor(np.eye(6)) @ _transpose_embedding(emb)
+        logits = matmul(matmul(h, Tensor(np.eye(6))), _transpose_embedding(emb))
         return cross_entropy(logits, targets, np.full((1, 3), 1 / 3))
 
     def _transpose_embedding(e):
@@ -364,7 +363,7 @@ def test_adam_zero_gradient_leaves_parameters():
     store = ParameterStore()
     p = store.create("p", np.array([1.0, 2.0]))
     p.grad = np.zeros(2)
-    adam_step(store, OptimizerConfig(learning_rate=0.1), 1)
+    AdamOptimizer(store, OptimizerConfig(learning_rate=0.1)).step()
     np.testing.assert_allclose(p.data, [1.0, 2.0])
 
 
@@ -373,7 +372,7 @@ def test_adam_single_step_matches_hand_formula():
     p = store.create("p", np.array([0.5]))
     p.grad = np.array([1.0])
     cfg = OptimizerConfig(learning_rate=0.1)
-    adam_step(store, cfg, 1)
+    AdamOptimizer(store, cfg).step()
     m_hat = (0.1 * 1.0) / (1 - 0.9)
     v_hat = (0.001 * 1.0) / (1 - 0.999)
     expected = 0.5 - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
@@ -397,17 +396,46 @@ def test_adam_decay_exemption_matches_zero_decay_trajectory():
     assert not np.allclose(decayed, no_decay)
 
 
-def test_adam_step_index_validation():
-    store = ParameterStore()
-    store.create("p", np.array([1.0]))
-    with pytest.raises(ConfigurationError):
-        adam_step(store, OptimizerConfig(), 0)
-
-
 def test_model_config_validation():
     with pytest.raises(ConfigurationError):
         ModelConfig(model_dim=10, num_heads=4)
     with pytest.raises(ConfigurationError):
         ModelConfig(vocab_size=0)
     cfg = ModelConfig()
-    assert cfg.head_dim * cfg.num_heads == cfg.model_dim
+    assert cfg.model_dim % cfg.num_heads == 0
+
+
+def test_model_config_dict_round_trip():
+    cfg = ModelConfig(model_dim=32, num_heads=2, vocab_size=50, seed=7)
+    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def _store(values):
+    store = ParameterStore()
+    for name, value in values.items():
+        store.create(name, value)
+    return store
+
+
+def test_state_dict_round_trip_returns_copies():
+    values = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([0.5, -0.5])}
+    source = _store(values)
+    state = source.state_dict()
+    state["w"][0, 0] = 99.0
+    assert source["w"].data[0, 0] == 0.0
+    target = _store({name: np.zeros_like(v) for name, v in values.items()})
+    target.load_state_dict(source.state_dict())
+    for name, value in values.items():
+        np.testing.assert_array_equal(target[name].data, value)
+    state = source.state_dict()
+    target.load_state_dict(state)
+    state["b"][0] = 99.0
+    assert target["b"].data[0] == 0.5
+
+
+def test_load_state_dict_rejects_name_and_shape_mismatch():
+    store = _store({"w": np.zeros((2, 3)), "b": np.zeros(2)})
+    with pytest.raises(ShapeError, match="names mismatch"):
+        store.load_state_dict({"w": np.zeros((2, 3)), "c": np.zeros(2)})
+    with pytest.raises(ShapeError, match="shape mismatch"):
+        store.load_state_dict({"w": np.zeros((3, 2)), "b": np.zeros(2)})

@@ -1,0 +1,51 @@
+"""Package-wide checks: the public ``crossaec.nn`` names resolve, no module
+imports a name it never uses, and ``derive_seed`` is stable."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import crossaec
+import crossaec.nn
+from crossaec.util import derive_seed
+
+PACKAGE = Path(crossaec.__file__).parent
+SOURCES = sorted(PACKAGE.rglob("*.py"))
+
+
+def test_nn_exports_resolve():
+    for name in crossaec.nn.__all__:
+        assert getattr(crossaec.nn, name, None) is not None, name
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # A package's __init__ uses what it re-exports through __all__.
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize(
+    "path", SOURCES, ids=lambda p: p.relative_to(PACKAGE.parent).as_posix()
+)
+def test_no_unused_imports(path):
+    assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_derive_seed_is_pinned_and_below_2_63():
+    assert derive_seed("corpus", 3, "line", 7) == 8121580019431239021
+    for parts in [(), (0,), ("arm", "dsu"), (2**70, -1, "x")]:
+        assert 0 <= derive_seed(*parts) < 2**63

@@ -20,6 +20,7 @@ from crossaec.nn import (
     no_grad,
     relu,
     reshape,
+    scale,
     swapaxes,
     tanh,
     tensor_sum,
@@ -182,7 +183,7 @@ def test_backward_linearity():
     g1 = t1.grad.copy()
 
     t2 = Tensor(a, requires_grad=True)
-    loss2 = tensor_sum(mul(t2, t2)) * 2.0
+    loss2 = scale(tensor_sum(mul(t2, t2)), 2.0)
     loss2.backward()
     np.testing.assert_allclose(t2.grad, 2.0 * g1, rtol=0, atol=0)
 
@@ -199,7 +200,7 @@ def test_second_backward_adds_exactly_one_more_gradient():
     # replayed by the second, giving 3-4x the leaf gradient instead of 2x.
     a = rng.normal(size=(3, 3))
     t = Tensor(a, requires_grad=True)
-    loss = tensor_sum(tanh(mul(t, t)) * 0.5)
+    loss = tensor_sum(scale(tanh(mul(t, t)), 0.5))
     loss.backward()
     once = t.grad.copy()
     loss.backward()

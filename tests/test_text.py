@@ -38,6 +38,22 @@ def test_specials_occupy_fixed_ids():
     assert len(vocab) >= 4
 
 
+def test_vocabulary_list_round_trip():
+    vocab = Vocabulary(["b", "a", "c"])
+    listed = vocab.to_list()
+    assert listed[:4] == ["<pad>", "<bos>", "<eos>", "<unk>"]
+    restored = Vocabulary.from_list(listed)
+    assert restored.to_list() == listed
+    assert [restored.id_of(w) for w in "abc"] == [vocab.id_of(w) for w in "abc"]
+
+
+def test_vocabulary_from_list_requires_specials():
+    with pytest.raises(VocabularyError):
+        Vocabulary.from_list(["a", "b"])
+    with pytest.raises(VocabularyError):
+        Vocabulary.from_list(["<pad>", "<bos>", "<unk>", "<eos>", "a"])
+
+
 def test_build_vocab_frequency_then_lexicographic():
     vocab = build_vocab(_records("a a b"))
     assert vocab.id_of("a") < vocab.id_of("b")
@@ -167,6 +183,29 @@ def test_load_corpus_rejects_non_string_hyp_and_frames(tmp_path, record):
     with pytest.raises(CorpusFormatError) as err:
         load_corpus(path)
     assert str(err.value).startswith(f"{path}:2:")
+
+
+def test_load_corpus_rejects_non_utf8_bytes_with_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"id": "ok", "ref": "a"}\n{"id": "x", "ref": "a \xff b"}\n')
+    with pytest.raises(CorpusFormatError) as err:
+        load_corpus(path)
+    assert str(err.value).startswith(f"{path}:2:")
+
+
+@pytest.mark.parametrize(
+    "boundaries",
+    ["[[0, 1.9], [2, 3]]", "[[0, 1], [true, 3]]", '[[0, 1], [1, "3"]]', '["01", [1, 3]]'],
+    ids=["float", "bool", "numeric-string", "string-pair"],
+)
+def test_load_corpus_accepts_only_integer_boundaries(tmp_path, boundaries):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        '{"id": "x", "ref": "a b", "hyp": "a b", "boundaries": ' + boundaries + "}\n"
+    )
+    with pytest.raises(CorpusFormatError) as err:
+        load_corpus(path)
+    assert str(err.value).startswith(f"{path}:1:")
 
 
 def test_boundary_count_must_match_hyp(tmp_path):
