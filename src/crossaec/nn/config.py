@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Tuple
+from dataclasses import asdict, dataclass, fields
 
 from crossaec.errors import ConfigurationError
 
@@ -23,19 +22,14 @@ class ModelConfig:
     feature_dim: int = 16
 
     def __post_init__(self):
-        counts = {
-            "model_dim": self.model_dim,
-            "num_heads": self.num_heads,
-            "encoder_layers": self.encoder_layers,
-            "decoder_layers": self.decoder_layers,
-            "feedforward_dim": self.feedforward_dim,
-            "max_seq_len": self.max_seq_len,
-            "vocab_size": self.vocab_size,
-            "feature_dim": self.feature_dim,
-        }
-        for key, value in counts.items():
-            if value < 1:
-                raise ConfigurationError(f"{key} must be >= 1, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass, but True is not a dimension.
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+            floor = 0 if f.name == "seed" else 1  # numpy takes no negative seed
+            if value < floor:
+                raise ConfigurationError(f"{f.name} must be >= {floor}, got {value}")
         if self.model_dim % self.num_heads != 0:
             raise ConfigurationError(
                 f"model_dim {self.model_dim} not divisible by "
@@ -47,23 +41,20 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigurationError(f"unknown ModelConfig keys: {sorted(unknown)}")
         return cls(**data)
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Adam hyperparameters with a weight-decay exemption list.
-
-    Parameters whose name contains any of ``decay_exempt_names`` receive
-    no weight decay (biases and normalization gains by default).
-    """
+    """Adam hyperparameters."""
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    weight_decay: float = 0.0
-    decay_exempt_names: Tuple[str, ...] = ("bias", "norm")
 
     def __post_init__(self):
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
@@ -72,6 +63,3 @@ class OptimizerConfig:
             raise ConfigurationError("epsilon must be > 0")
         if self.learning_rate < 0.0:
             raise ConfigurationError("learning_rate must be >= 0")
-
-    def is_exempt(self, name: str) -> bool:
-        return any(pattern in name for pattern in self.decay_exempt_names)

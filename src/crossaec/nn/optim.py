@@ -1,4 +1,4 @@
-"""Bias-corrected Adam with decoupled weight decay."""
+"""Bias-corrected Adam."""
 
 from __future__ import annotations
 
@@ -50,8 +50,6 @@ class AdamOptimizer:
             np.sqrt(denom, out=denom)
             denom += cfg.epsilon
             update /= denom
-            if cfg.weight_decay != 0.0 and not cfg.is_exempt(name):
-                update += cfg.weight_decay * param.data
             update *= cfg.learning_rate
             param.data -= update
 

@@ -6,7 +6,7 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from crossaec.errors import ShapeError
+from crossaec.errors import DegenerateInputError, ShapeError
 from crossaec.nn.tensor import Tensor
 
 
@@ -54,9 +54,14 @@ class ParameterStore:
             )
         for name, value in state.items():
             t = self._params[name]
-            value = np.asarray(value, dtype=np.float64)
+            try:
+                value = np.asarray(value, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ShapeError(f"value for {name} is not numeric") from None
             if value.shape != t.data.shape:
                 raise ShapeError(
                     f"shape mismatch for {name}: {value.shape} vs {t.data.shape}"
                 )
+            if not np.isfinite(value).all():
+                raise DegenerateInputError(f"non-finite value for {name}")
             t.data = value.copy()

@@ -1,10 +1,13 @@
-"""Vocabulary, word-level tokenization, and corpus file I/O.
+"""Vocabulary, word-level tokenization, and the corpus reader.
 
 One token is one word: acoustic vectors are word-aligned, so a 1:1
 token/word mapping keeps that alignment exact. Normalization (lowercase,
 strip punctuation except apostrophes) is applied once at ingestion and
 shared by training and metrics, which makes WER casing- and
 punctuation-insensitive by construction.
+
+A JSONL corpus is the program's only file input; acoustic frames are
+made in memory (``crossaec.acoustic``), so a record carries no frame path.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from crossaec.errors import (
@@ -52,9 +54,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._id_to_word)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self._word_to_id
-
     def id_of(self, word: str) -> int:
         return self._word_to_id.get(word, UNK_ID)
 
@@ -62,10 +61,6 @@ class Vocabulary:
         if not 0 <= idx < len(self._id_to_word):
             raise VocabularyError(f"id {idx} outside vocabulary of size {len(self)}")
         return self._id_to_word[idx]
-
-    def words(self) -> List[str]:
-        """Non-special words in id order."""
-        return self._id_to_word[len(SPECIALS):]
 
     def to_list(self) -> List[str]:
         return list(self._id_to_word)
@@ -77,14 +72,13 @@ class Vocabulary:
         return cls(id_to_word[len(SPECIALS):])
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorpusRecord:
-    """One utterance: reference words, hypothesis words, optional acoustics."""
+    """One utterance: reference words, hypothesis words, optional boundaries."""
 
     id: str
     ref_words: List[str]
     hyp_words: List[str] = field(default_factory=list)
-    frames_path: Optional[str] = None
     boundaries: Optional[List[Tuple[int, int]]] = None
 
     def __post_init__(self):
@@ -97,7 +91,7 @@ class CorpusRecord:
             )
 
 
-def build_vocab(records: Iterable[CorpusRecord], min_count: int = 1) -> Vocabulary:
+def build_vocab(records: Iterable[CorpusRecord]) -> Vocabulary:
     """Frequency-then-lexicographic vocabulary over all corpus words."""
     counts: Counter = Counter()
     empty = True
@@ -107,9 +101,7 @@ def build_vocab(records: Iterable[CorpusRecord], min_count: int = 1) -> Vocabula
         counts.update(record.hyp_words)
     if empty:
         raise DegenerateInputError("cannot build a vocabulary from an empty corpus")
-    kept = [w for w, c in counts.items() if c >= min_count]
-    kept.sort(key=lambda w: (-counts[w], w))
-    return Vocabulary(kept)
+    return Vocabulary(sorted(counts, key=lambda w: (-counts[w], w)))
 
 
 def encode(
@@ -138,19 +130,6 @@ def decode(vocab: Vocabulary, ids: Sequence[int]) -> List[str]:
     return words
 
 
-def record_to_json(record: CorpusRecord) -> str:
-    payload: dict = {
-        "id": record.id,
-        "ref": " ".join(record.ref_words),
-        "hyp": " ".join(record.hyp_words),
-    }
-    if record.frames_path is not None:
-        payload["frames"] = record.frames_path
-    if record.boundaries is not None:
-        payload["boundaries"] = [[int(s), int(e)] for s, e in record.boundaries]
-    return json.dumps(payload, sort_keys=True)
-
-
 def _record_from_payload(payload: dict, where: str) -> CorpusRecord:
     try:
         rec_id = payload["id"]
@@ -160,11 +139,8 @@ def _record_from_payload(payload: dict, where: str) -> CorpusRecord:
     if not isinstance(rec_id, str) or not isinstance(ref, str):
         raise CorpusFormatError(f"{where}: id and ref must be strings")
     hyp = payload.get("hyp", "")
-    frames = payload.get("frames")
     if not isinstance(hyp, str):
         raise CorpusFormatError(f"{where}: hyp must be a string")
-    if frames is not None and not isinstance(frames, str):
-        raise CorpusFormatError(f"{where}: frames must be a path string")
     boundaries = payload.get("boundaries")
     if boundaries is not None:
         try:
@@ -183,7 +159,6 @@ def _record_from_payload(payload: dict, where: str) -> CorpusRecord:
             id=rec_id,
             ref_words=normalize_words(ref),
             hyp_words=normalize_words(hyp),
-            frames_path=frames,
             boundaries=boundaries,
         )
     except CorpusFormatError as exc:
@@ -213,10 +188,3 @@ def load_corpus(path) -> List[CorpusRecord]:
             records.append(_record_from_payload(payload, f"{path}:{lineno}"))
     return records
 
-
-def save_corpus(records: Iterable[CorpusRecord], path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(record_to_json(record) + "\n")

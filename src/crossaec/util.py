@@ -17,11 +17,7 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little") & 0x7FFF_FFFF_FFFF_FFFF
 
 
-def canonical_json(obj) -> str:
-    """Serialize with sorted keys and no whitespace jitter."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def stable_hash(obj) -> str:
-    """Short hex digest of an object's canonical JSON form."""
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()[:16]
+    """Short hex digest of an object's JSON form, keys sorted, no spaces."""
+    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

@@ -379,23 +379,6 @@ def test_adam_single_step_matches_hand_formula():
     assert abs(p.data[0] - expected) < 1e-15
 
 
-def test_adam_decay_exemption_matches_zero_decay_trajectory():
-    def run(decay, name):
-        store = ParameterStore()
-        p = store.create(name, np.array([0.7, -0.3]))
-        opt = AdamOptimizer(store, OptimizerConfig(learning_rate=0.05, weight_decay=decay))
-        for _ in range(5):
-            p.grad = np.array([0.2, -0.1])
-            opt.step()
-        return p.data.copy()
-
-    exempt = run(0.5, "layer.bias")
-    no_decay = run(0.0, "layer.bias")
-    decayed = run(0.5, "layer.weight")
-    np.testing.assert_allclose(exempt, no_decay)
-    assert not np.allclose(decayed, no_decay)
-
-
 def test_model_config_validation():
     with pytest.raises(ConfigurationError):
         ModelConfig(model_dim=10, num_heads=4)
@@ -408,6 +391,23 @@ def test_model_config_validation():
 def test_model_config_dict_round_trip():
     cfg = ModelConfig(model_dim=32, num_heads=2, vocab_size=50, seed=7)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        ({"model_dim": 64, "dropout": 0.1}, "dropout"),
+        ({"model_dim": "64"}, "model_dim"),
+        ({"num_heads": 2.0}, "num_heads"),
+        ({"encoder_layers": True}, "encoder_layers"),
+        ({"seed": None}, "seed"),
+        ({"seed": -1}, "seed"),
+    ],
+    ids=["unknown-key", "string", "float", "bool", "none-seed", "negative-seed"],
+)
+def test_model_config_from_dict_rejects_bad_keys_and_types(data, named):
+    with pytest.raises(ConfigurationError, match=named):
+        ModelConfig.from_dict(data)
 
 
 def _store(values):
@@ -439,3 +439,18 @@ def test_load_state_dict_rejects_name_and_shape_mismatch():
         store.load_state_dict({"w": np.zeros((2, 3)), "c": np.zeros(2)})
     with pytest.raises(ShapeError, match="shape mismatch"):
         store.load_state_dict({"w": np.zeros((3, 2)), "b": np.zeros(2)})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_load_state_dict_rejects_non_finite_values(bad):
+    store = _store({"w": np.zeros(2), "b": np.zeros(2)})
+    with pytest.raises(DegenerateInputError, match="for w"):
+        store.load_state_dict({"w": [bad, 1.0], "b": [0.0, 0.0]})
+    np.testing.assert_array_equal(store["w"].data, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [["a", 1.0], [{"x": 1}, 1.0]], ids=["string", "dict"])
+def test_load_state_dict_rejects_non_numeric_values(bad):
+    store = _store({"w": np.zeros(2), "b": np.zeros(2)})
+    with pytest.raises(ShapeError, match="for w"):
+        store.load_state_dict({"b": [0.0, 0.0], "w": bad})
