@@ -39,6 +39,8 @@ class PrototypeTable:
     confusable_pairs: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self):
+        if not np.isfinite(self.noise_sigma):
+            raise DegenerateInputError(f"noise_sigma is not finite: {self.noise_sigma}")
         if self.noise_sigma < 0:
             raise ShapeError("noise_sigma must be >= 0")
         if not self.prototypes:
@@ -49,6 +51,10 @@ class PrototypeTable:
                 f"prototypes must be vectors of one dimension, got shapes "
                 f"{sorted(shapes)}"
             )
+        # float64 arrays pass through np.asarray uncopied.
+        self.prototypes = {
+            w: np.asarray(v, dtype=np.float64) for w, v in self.prototypes.items()
+        }
         finite = np.isfinite(np.array(list(self.prototypes.values()))).all(axis=1)
         if not finite.all():
             word = list(self.prototypes)[int(np.argmin(finite))]

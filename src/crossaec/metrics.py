@@ -3,21 +3,21 @@
 WER, BLEU, and GLEU are reported on a 0..100 scale. The same alignment
 drives WER and the per-type error counts.
 
-``MetricsReport.compute`` scores a corpus in one pass. Its words are
-mapped to integers once. The Levenshtein tables of all pairs are built
-together in numpy, one reference row per step, in chunks of pairs sorted
-by length; a per-pair backtrace in Python then reads off the S/I/D
-counts. Each sentence's 1..4-grams are counted once, and the clipped
-matches feed both BLEU's corpus totals and the sentence GLEU overlap.
-``edit_ops``, ``corpus_edit_counts``, ``wer``, ``bleu`` and ``gleu`` call
-the same table, backtrace and n-gram code.
+``MetricsReport.compute`` scores a corpus in one pass, and is the only
+source of WER. Its words are mapped to integers once. The Levenshtein
+tables of all pairs are built together in numpy, one reference row per
+step, in chunks of pairs sorted by length; a per-pair backtrace in
+Python then reads off the S/I/D counts. Each sentence's 1..4-grams are
+counted once, and the clipped matches feed both BLEU's corpus totals and
+the sentence GLEU overlap. ``edit_ops``, ``bleu`` and ``gleu`` call the
+same table, backtrace and n-gram code.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +29,8 @@ IdPair = Tuple[List[int], List[int]]
 
 # Pairs whose Levenshtein tables are built in one numpy pass.
 CHUNK_PAIRS = 64
+# Longest n-gram of BLEU and GLEU.
+MAX_N = 4
 
 MATCH = "match"
 SUBSTITUTE = "substitute"
@@ -147,16 +149,6 @@ def _edit_kinds(id_pairs: Sequence[IdPair]) -> List[List[str]]:
     return kinds
 
 
-def _edit_counts(id_pairs: Sequence[IdPair]) -> Tuple[int, int, int, int]:
-    s = i = d = n = 0
-    for (ref, _), kinds in zip(id_pairs, _edit_kinds(id_pairs)):
-        s += kinds.count(SUBSTITUTE)
-        i += kinds.count(INSERT)
-        d += kinds.count(DELETE)
-        n += len(ref)
-    return s, i, d, n
-
-
 def edit_ops(ref_words: Sequence[str], hyp_words: Sequence[str]) -> EditAlignment:
     """Unit-cost Levenshtein alignment.
 
@@ -173,32 +165,19 @@ def edit_ops(ref_words: Sequence[str], hyp_words: Sequence[str]) -> EditAlignmen
     return EditAlignment(tuple(ops))
 
 
-def corpus_edit_counts(pairs: Iterable[Pair]) -> Tuple[int, int, int, int]:
-    """Total (S, I, D, N_ref) over a corpus of (ref, hyp) pairs."""
-    return _edit_counts(_word_ids(pairs))
-
-
-def wer(pairs: Iterable[Pair]) -> float:
-    """Corpus word error rate as a percentage: 100 * (S+I+D) / N_ref."""
-    s, i, d, n = corpus_edit_counts(pairs)
-    if n == 0:
-        raise DegenerateInputError("WER over zero reference words")
-    return 100.0 * (s + i + d) / n
-
-
-def _ngram_counts(words: Sequence, max_n: int) -> Counter:
-    """Every 1..max_n-gram of a sentence in one Counter (orders never collide)."""
+def _ngram_counts(words: Sequence) -> Counter:
+    """Every 1..MAX_N-gram of a sentence in one Counter (orders never collide)."""
     counts: Counter = Counter()
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         counts.update(zip(*[words[k:] for k in range(n)]))
     return counts
 
 
-def _clipped_matches(ref: Sequence, hyp: Sequence, max_n: int) -> List[int]:
-    """Hyp n-grams found in ref, clipped to the ref count, per order 1..max_n."""
-    ref_counts = _ngram_counts(ref, max_n)
-    matched = [0] * (max_n + 1)
-    for gram, count in _ngram_counts(hyp, max_n).items():
+def _clipped_matches(ref: Sequence, hyp: Sequence) -> List[int]:
+    """Hyp n-grams found in ref, clipped to the ref count, per order 1..MAX_N."""
+    ref_counts = _ngram_counts(ref)
+    matched = [0] * (MAX_N + 1)
+    for gram, count in _ngram_counts(hyp).items():
         found = ref_counts.get(gram)
         if found:
             matched[len(gram)] += min(count, found)
@@ -209,18 +188,18 @@ def _grams(length: int, n: int) -> int:
     return max(length - n + 1, 0)
 
 
-def _gleu_of(overlap: int, ref_len: int, hyp_len: int, max_n: int) -> float:
+def _gleu_of(overlap: int, ref_len: int, hyp_len: int) -> float:
     """Sentence GLEU: min(n-gram precision, n-gram recall) over the
-    pooled 1..max_n grams."""
-    ref_total = sum(_grams(ref_len, n) for n in range(1, max_n + 1))
-    hyp_total = sum(_grams(hyp_len, n) for n in range(1, max_n + 1))
+    pooled 1..MAX_N grams."""
+    ref_total = sum(_grams(ref_len, n) for n in range(1, MAX_N + 1))
+    hyp_total = sum(_grams(hyp_len, n) for n in range(1, MAX_N + 1))
     if ref_total == 0 or hyp_total == 0:
         return 0.0
     return min(overlap / hyp_total, overlap / ref_total)
 
 
 def _ngram_scores(
-    pairs: Iterable[Tuple[Sequence, Sequence]], max_n: int
+    pairs: Iterable[Tuple[Sequence, Sequence]]
 ) -> Tuple[float, float, int]:
     """BLEU, the reference-weighted sum of sentence GLEU, and the reference
     word count, from one n-gram count per sentence.
@@ -229,22 +208,22 @@ def _ngram_scores(
     when either is zero at the corpus level (tiny corpora otherwise hit
     log 0).
     """
-    matched = [0] * (max_n + 1)
-    total = [0] * (max_n + 1)
+    matched = [0] * (MAX_N + 1)
+    total = [0] * (MAX_N + 1)
     ref_len = hyp_len = 0
     weighted = 0.0
     for ref, hyp in pairs:
-        clipped = _clipped_matches(ref, hyp, max_n)
-        for n in range(1, max_n + 1):
+        clipped = _clipped_matches(ref, hyp)
+        for n in range(1, MAX_N + 1):
             matched[n] += clipped[n]
             total[n] += _grams(len(hyp), n)
-        weighted += len(ref) * _gleu_of(sum(clipped), len(ref), len(hyp), max_n)
+        weighted += len(ref) * _gleu_of(sum(clipped), len(ref), len(hyp))
         ref_len += len(ref)
         hyp_len += len(hyp)
     if hyp_len == 0:
         return 0.0, weighted, ref_len
     log_sum = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         num, den = matched[n], total[n]
         if n >= 2 and (den == 0 or num == 0):
             num += 1
@@ -253,17 +232,17 @@ def _ngram_scores(
             return 0.0, weighted, ref_len
         log_sum += math.log(num / den)
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return 100.0 * brevity * math.exp(log_sum / max_n), weighted, ref_len
+    return 100.0 * brevity * math.exp(log_sum / MAX_N), weighted, ref_len
 
 
-def bleu(pairs: Iterable[Pair], max_n: int = 4) -> float:
+def bleu(pairs: Iterable[Pair]) -> float:
     """Corpus BLEU on 0..100 with clipped n-gram counts."""
-    return _ngram_scores(pairs, max_n)[0]
+    return _ngram_scores(pairs)[0]
 
 
-def gleu(pairs: Iterable[Pair], max_n: int = 4) -> float:
+def gleu(pairs: Iterable[Pair]) -> float:
     """Reference-token-weighted mean of sentence GLEU, on 0..100."""
-    _, weighted, ref_words = _ngram_scores(pairs, max_n)
+    _, weighted, ref_words = _ngram_scores(pairs)
     if ref_words == 0:
         raise DegenerateInputError("GLEU over zero reference words")
     return 100.0 * weighted / ref_words
@@ -284,10 +263,15 @@ class MetricsReport:
     @classmethod
     def compute(cls, pairs: Iterable[Pair]) -> "MetricsReport":
         id_pairs = _word_ids(pairs)
-        s, i, d, n = _edit_counts(id_pairs)
+        s = i = d = n = 0
+        for (ref, _), kinds in zip(id_pairs, _edit_kinds(id_pairs)):
+            s += kinds.count(SUBSTITUTE)
+            i += kinds.count(INSERT)
+            d += kinds.count(DELETE)
+            n += len(ref)
         if n == 0:
             raise DegenerateInputError("metrics over zero reference words")
-        bleu_value, gleu_weighted, _ = _ngram_scores(id_pairs, 4)
+        bleu_value, gleu_weighted, _ = _ngram_scores(id_pairs)
         return cls(
             wer=100.0 * (s + i + d) / n,
             bleu=bleu_value,
@@ -299,12 +283,4 @@ class MetricsReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "wer": self.wer,
-            "bleu": self.bleu,
-            "gleu": self.gleu,
-            "substitutions": self.substitutions,
-            "insertions": self.insertions,
-            "deletions": self.deletions,
-            "ref_words": self.ref_words,
-        }
+        return asdict(self)

@@ -41,6 +41,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"ModelConfig must be a JSON object, got {data!r}")
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigurationError(f"unknown ModelConfig keys: {sorted(unknown)}")
@@ -49,17 +51,11 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Adam hyperparameters."""
+    """Adam's learning rate. The moment decays and epsilon are the fixed
+    ``BETA1``, ``BETA2`` and ``EPSILON`` of ``crossaec.nn.optim``."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ConfigurationError("beta1 and beta2 must be in (0, 1)")
-        if self.epsilon <= 0.0:
-            raise ConfigurationError("epsilon must be > 0")
         if self.learning_rate < 0.0:
             raise ConfigurationError("learning_rate must be >= 0")

@@ -1,4 +1,5 @@
-"""Bias-corrected Adam."""
+"""Bias-corrected Adam with fixed moment decays ``BETA1``, ``BETA2`` and
+denominator offset ``EPSILON``; only the learning rate is configured."""
 
 from __future__ import annotations
 
@@ -8,6 +9,10 @@ import numpy as np
 
 from crossaec.nn.config import OptimizerConfig
 from crossaec.nn.params import ParameterStore
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 class AdamOptimizer:
@@ -26,10 +31,9 @@ class AdamOptimizer:
         Parameters with no gradient are left untouched.
         """
         self.step_count += 1
-        cfg = self.config
         t = self.step_count
-        bias1 = 1.0 - cfg.beta1**t
-        bias2 = 1.0 - cfg.beta2**t
+        bias1 = 1.0 - BETA1**t
+        bias2 = 1.0 - BETA2**t
         for name, param in self.store.items():
             if param.grad is None:
                 continue
@@ -40,16 +44,16 @@ class AdamOptimizer:
                 self._m[name] = m
                 self._v[name] = np.zeros_like(param.data)
             v = self._v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
             # In place, in the order (m / bias1) / (sqrt(v / bias2) + eps).
             update = m / bias1
             denom = v / bias2
             np.sqrt(denom, out=denom)
-            denom += cfg.epsilon
+            denom += EPSILON
             update /= denom
-            update *= cfg.learning_rate
+            update *= self.config.learning_rate
             param.data -= update
 

@@ -52,10 +52,12 @@ class ParameterStore:
                 f"parameter names mismatch (missing={sorted(missing)}, "
                 f"unexpected={sorted(extra)})"
             )
+        # Check every value before installing any: a rejected state changes nothing.
+        checked = {}
         for name, value in state.items():
             t = self._params[name]
             try:
-                value = np.asarray(value, dtype=np.float64)
+                value = np.array(value, dtype=np.float64)
             except (TypeError, ValueError):
                 raise ShapeError(f"value for {name} is not numeric") from None
             if value.shape != t.data.shape:
@@ -64,4 +66,6 @@ class ParameterStore:
                 )
             if not np.isfinite(value).all():
                 raise DegenerateInputError(f"non-finite value for {name}")
-            t.data = value.copy()
+            checked[name] = value
+        for name, value in checked.items():
+            self._params[name].data = value

@@ -201,37 +201,37 @@ def tensor_sum(a: Tensor) -> Tensor:
     return _make(data, (a,), vjp)
 
 
-def _softmax(logits: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
+def _softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """The kernel of ``masked_softmax`` and ``attention``: softmax along
-    ``axis`` where ``mask`` is true. ``mask`` has as many axes as
+    the last axis where ``mask`` is true. ``mask`` has as many axes as
     ``logits`` and broadcasts to it."""
     # Broadcasting repeats rows, so checking the unbroadcast mask suffices.
-    if not mask.any(axis=axis).all():
+    if not mask.any(axis=-1).all():
         raise DegenerateInputError("softmax row with every position masked")
     # Masked entries become -inf, and exp(-inf) is exactly 0.
     probs = np.where(mask, logits, -np.inf)
-    probs -= probs.max(axis=axis, keepdims=True)
+    probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=axis, keepdims=True)
+    probs /= probs.sum(axis=-1, keepdims=True)
     return probs
 
 
-def _softmax_vjp(probs: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    inner = (g * probs).sum(axis=axis, keepdims=True)
+def _softmax_vjp(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    inner = (g * probs).sum(axis=-1, keepdims=True)
     return probs * (g - inner)
 
 
-def masked_softmax(logits: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
-    """Softmax over the positions where ``mask`` is true.
+def masked_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
+    """Softmax over the last axis, at the positions where ``mask`` is true.
 
     Masked positions get exactly zero weight. A row with no allowed
     position is a degenerate input and is rejected.
     """
     m = np.broadcast_to(np.asarray(mask, dtype=bool), logits.data.shape)
-    probs = _softmax(logits.data, m, axis)
+    probs = _softmax(logits.data, m)
 
     def vjp(g):
-        _accumulate(logits, _softmax_vjp(probs, g, axis))
+        _accumulate(logits, _softmax_vjp(probs, g))
 
     return _make(probs, (logits,), vjp)
 
@@ -314,7 +314,7 @@ def attention(
     vh = v.data.reshape(batch, lk, num_heads, dh).swapaxes(1, 2)
     logits = qh @ kh.swapaxes(-1, -2)
     logits *= factor
-    probs = _softmax(logits, mask[:, None], -1)
+    probs = _softmax(logits, mask[:, None])
     out = (probs @ vh).swapaxes(1, 2).reshape(batch, lq, dim)
 
     def merge(gh):
@@ -324,7 +324,7 @@ def attention(
         gh = g.reshape(batch, lq, num_heads, dh).swapaxes(1, 2)
         if v.requires_grad:
             _accumulate(v, merge(probs.swapaxes(-1, -2) @ gh))
-        glogits = _softmax_vjp(probs, gh @ vh.swapaxes(-1, -2), -1)
+        glogits = _softmax_vjp(probs, gh @ vh.swapaxes(-1, -2))
         glogits *= factor
         if q.requires_grad:
             _accumulate(q, merge(glogits @ kh))
@@ -334,14 +334,18 @@ def attention(
     return _make(out, (q, k, v), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, offset: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then rescale."""
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor, offset: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (variance plus
+    ``LAYER_NORM_EPS``), then rescale."""
     n = x.data.shape[-1]
     # sum / n is what ndarray.mean computes, without its wrapper's cost.
     mu = x.data.sum(axis=-1, keepdims=True) / n
     xhat = x.data - mu
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
     data = xhat * gain.data
     data += offset.data

@@ -116,6 +116,26 @@ def test_prototype_table_rejects_non_finite_prototype(bad):
         PrototypeTable(prototypes={"a": [bad, 1.0]}, noise_sigma=0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_prototype_table_rejects_non_finite_noise_sigma(bad):
+    with pytest.raises(DegenerateInputError, match="noise_sigma"):
+        PrototypeTable(
+            prototypes={"a": np.zeros(3), "b": np.ones(3)},
+            noise_sigma=bad,
+            confusable_pairs=(("a", "b"),),
+        )
+
+
+def test_list_prototypes_give_the_frames_of_array_prototypes():
+    values = {"a": [1.0, 2.0], "b": [-1.0, 0.5]}
+    from_lists = PrototypeTable(values, 0.1)
+    from_arrays = PrototypeTable({w: np.array(v) for w, v in values.items()}, 0.1)
+    assert from_lists.dim == 2 and from_lists.prototypes["a"].dtype == np.float64
+    got, _ = synth_frames(["a", "b", "a"], from_lists, 2, rng_seed=9)
+    want, _ = synth_frames(["a", "b", "a"], from_arrays, 2, rng_seed=9)
+    np.testing.assert_array_equal(got, want)
+
+
 def test_prototype_table_rejects_confusable_pair_without_prototype():
     with pytest.raises(CoverageError):
         PrototypeTable(

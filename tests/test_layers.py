@@ -354,8 +354,8 @@ def test_gradcheck_deterministic():
     def loss():
         return tensor_sum(tanh(lin(Tensor(x))))
 
-    r1 = gradient_check(loss, store, seed=3)
-    r2 = gradient_check(loss, store, seed=3)
+    r1 = gradient_check(loss, store)
+    r2 = gradient_check(loss, store)
     assert r1 == r2
 
 
@@ -402,8 +402,15 @@ def test_model_config_dict_round_trip():
         ({"encoder_layers": True}, "encoder_layers"),
         ({"seed": None}, "seed"),
         ({"seed": -1}, "seed"),
+        ([], "JSON object"),
+        (None, "JSON object"),
+        (5, "JSON object"),
+        ("ab", "JSON object"),
     ],
-    ids=["unknown-key", "string", "float", "bool", "none-seed", "negative-seed"],
+    ids=[
+        "unknown-key", "string", "float", "bool", "none-seed", "negative-seed",
+        "list", "none", "int", "str",
+    ],
 )
 def test_model_config_from_dict_rejects_bad_keys_and_types(data, named):
     with pytest.raises(ConfigurationError, match=named):
@@ -439,6 +446,14 @@ def test_load_state_dict_rejects_name_and_shape_mismatch():
         store.load_state_dict({"w": np.zeros((2, 3)), "c": np.zeros(2)})
     with pytest.raises(ShapeError, match="shape mismatch"):
         store.load_state_dict({"w": np.zeros((3, 2)), "b": np.zeros(2)})
+
+
+def test_rejected_state_leaves_every_parameter_unchanged():
+    store = _store({"a": np.zeros(2), "b": np.ones(2)})
+    with pytest.raises(ShapeError, match="for b"):
+        store.load_state_dict({"a": [5.0, 5.0], "b": [1.0]})
+    np.testing.assert_array_equal(store["a"].data, [0.0, 0.0])
+    np.testing.assert_array_equal(store["b"].data, [1.0, 1.0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,5 +1,6 @@
 """Package-wide checks: the public ``crossaec.nn`` names resolve, no module
-imports a name it never uses, and ``derive_seed`` is stable."""
+imports a name it never uses or defines a private name it never reads, and
+``derive_seed`` is stable."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,35 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 )
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _dead_private_names(tree: ast.Module) -> list[str]:
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node.lineno
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{name} (line {line})"
+        for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in loaded
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", SOURCES, ids=lambda p: p.relative_to(PACKAGE.parent).as_posix()
+)
+def test_no_dead_private_names(path):
+    assert _dead_private_names(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
 def test_derive_seed_is_pinned_and_below_2_63():
