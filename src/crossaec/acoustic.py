@@ -39,9 +39,12 @@ class PrototypeTable:
     confusable_pairs: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self):
-        if not np.isfinite(self.noise_sigma):
-            raise DegenerateInputError(f"noise_sigma is not finite: {self.noise_sigma}")
-        if self.noise_sigma < 0:
+        sigma = self.noise_sigma
+        if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
+            raise ShapeError(f"noise_sigma must be a number, got {sigma!r}")
+        if not np.isfinite(sigma):
+            raise DegenerateInputError(f"noise_sigma is not finite: {sigma}")
+        if sigma < 0:
             raise ShapeError("noise_sigma must be >= 0")
         if not self.prototypes:
             raise CoverageError("prototype table has no words")

@@ -1,72 +1,1 @@
-"""Minimal tensor/layer substrate with exact reverse-mode gradients."""
-
-from crossaec.nn.tensor import (
-    Tensor,
-    add,
-    attention,
-    constant,
-    cross_entropy,
-    embedding_lookup,
-    layer_norm,
-    linear,
-    masked_softmax,
-    matmul,
-    mul,
-    no_grad,
-    relu,
-    reshape,
-    scale,
-    swapaxes,
-    tanh,
-    tensor_sum,
-)
-from crossaec.nn.params import ParameterStore
-from crossaec.nn.config import ModelConfig, OptimizerConfig
-from crossaec.nn.optim import AdamOptimizer
-from crossaec.nn.layers import (
-    Decoder,
-    Embedding,
-    Encoder,
-    FeedForward,
-    LayerNorm,
-    Linear,
-    MultiHeadAttention,
-    cross_entropy_loss,
-    sinusoidal_positions,
-)
-from crossaec.nn.gradcheck import gradient_check
-
-__all__ = [
-    "AdamOptimizer",
-    "Decoder",
-    "Embedding",
-    "Encoder",
-    "FeedForward",
-    "LayerNorm",
-    "Linear",
-    "ModelConfig",
-    "MultiHeadAttention",
-    "OptimizerConfig",
-    "ParameterStore",
-    "Tensor",
-    "add",
-    "attention",
-    "constant",
-    "cross_entropy",
-    "cross_entropy_loss",
-    "embedding_lookup",
-    "gradient_check",
-    "layer_norm",
-    "linear",
-    "masked_softmax",
-    "matmul",
-    "mul",
-    "no_grad",
-    "relu",
-    "reshape",
-    "scale",
-    "sinusoidal_positions",
-    "swapaxes",
-    "tanh",
-    "tensor_sum",
-]
+"""Autodiff substrate with exact gradients; import each name from its submodule."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 from crossaec.errors import ConfigurationError
@@ -57,5 +58,8 @@ class OptimizerConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        if self.learning_rate < 0.0:
-            raise ConfigurationError("learning_rate must be >= 0")
+        lr = self.learning_rate
+        # bool is an int subclass, but True is not a rate.
+        number = isinstance(lr, (int, float)) and not isinstance(lr, bool)
+        if not (number and math.isfinite(lr) and lr >= 0):
+            raise ConfigurationError(f"learning_rate must be in [0, inf), got {lr!r}")

@@ -11,7 +11,6 @@ on real content.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -26,8 +25,8 @@ from crossaec.nn.tensor import (
     embedding_lookup,
     layer_norm,
     linear,
+    relu,
 )
-from crossaec.nn.tensor import relu as relu_op
 
 
 def init_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -110,7 +109,7 @@ class FeedForward:
         self.lin2 = Linear(store, f"{name}.lin2", hidden, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(relu_op(self.lin1(x)))
+        return self.lin2(relu(self.lin1(x)))
 
 
 class MultiHeadAttention:
@@ -136,18 +135,15 @@ class MultiHeadAttention:
         self,
         query_in: Tensor,
         kv_in: Tensor,
-        key_mask: Optional[np.ndarray] = None,
+        key_mask: np.ndarray,
         causal: bool = False,
     ) -> Tensor:
         batch, lq, _ = query_in.data.shape
         lk = kv_in.data.shape[1]
-        if key_mask is None:
-            mask = np.ones((batch, 1, lk), dtype=bool)
-        else:
-            mask = np.asarray(key_mask, dtype=bool)
-            if mask.shape != (batch, lk):
-                raise ShapeError(f"key_mask {mask.shape} is not ({batch}, {lk})")
-            mask = mask[:, None, :]
+        mask = np.asarray(key_mask, dtype=bool)
+        if mask.shape != (batch, lk):
+            raise ShapeError(f"key_mask {mask.shape} is not ({batch}, {lk})")
+        mask = mask[:, None, :]
         if causal:
             # Query i sees keys 0..i, as np.tril would give, but cheaper.
             mask = mask & (np.arange(lk) <= np.arange(lq)[:, None])

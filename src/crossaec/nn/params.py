@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Dict, Iterator, Tuple
 
 import numpy as np
@@ -44,7 +45,9 @@ class ParameterStore:
     def state_dict(self) -> Dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}
 
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
+        if not isinstance(state, Mapping):
+            raise ShapeError(f"state must be a mapping, got {type(state).__name__}")
         if set(state) != set(self._params):
             missing = set(self._params) - set(state)
             extra = set(state) - set(self._params)

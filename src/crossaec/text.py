@@ -31,7 +31,6 @@ BOS_ID = 1
 EOS_ID = 2
 UNK_ID = 3
 SPECIALS = ("<pad>", "<bos>", "<eos>", "<unk>")
-UNK_WORD = "<unk>"
 
 _KEEP = re.compile(r"[^a-z0-9' ]+")
 

@@ -22,8 +22,10 @@ from crossaec.acoustic import (
     synth_frames,
     validate_boundaries,
 )
-from crossaec.nn import ParameterStore, Tensor, gradient_check, tensor_sum
+from crossaec.nn.gradcheck import gradient_check
 from crossaec.nn.layers import Linear
+from crossaec.nn.params import ParameterStore
+from crossaec.nn.tensor import Tensor, tensor_sum
 from crossaec.text import CorpusRecord
 from crossaec.util import stable_hash
 
@@ -116,9 +118,19 @@ def test_prototype_table_rejects_non_finite_prototype(bad):
         PrototypeTable(prototypes={"a": [bad, 1.0]}, noise_sigma=0.1)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_prototype_table_rejects_non_finite_noise_sigma(bad):
-    with pytest.raises(DegenerateInputError, match="noise_sigma"):
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (math.nan, DegenerateInputError),
+        (math.inf, DegenerateInputError),
+        ("x", ShapeError),
+        (None, ShapeError),
+        (True, ShapeError),
+    ],
+    ids=["nan", "inf", "str", "none", "bool"],
+)
+def test_prototype_table_rejects_non_finite_noise_sigma(bad, error):
+    with pytest.raises(error, match="noise_sigma"):
         PrototypeTable(
             prototypes={"a": np.zeros(3), "b": np.ones(3)},
             noise_sigma=bad,

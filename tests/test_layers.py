@@ -1,26 +1,30 @@
 """Layer-level contracts: gradcheck per layer type, Adam, attention oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from crossaec.errors import ConfigurationError, DegenerateInputError, ShapeError
-from crossaec.nn import (
-    AdamOptimizer,
+from crossaec.nn.config import ModelConfig, OptimizerConfig
+from crossaec.nn.gradcheck import gradient_check
+from crossaec.nn.layers import (
     Embedding,
     FeedForward,
     LayerNorm,
     Linear,
-    ModelConfig,
     MultiHeadAttention,
-    OptimizerConfig,
-    ParameterStore,
-    Tensor,
-    cross_entropy,
     cross_entropy_loss,
+)
+from crossaec.nn.optim import AdamOptimizer
+from crossaec.nn.params import ParameterStore
+from crossaec.nn.tensor import (
+    Tensor,
+    _make,
+    add,
     attention,
-    gradient_check,
+    cross_entropy,
     linear,
     masked_softmax,
     matmul,
@@ -28,9 +32,9 @@ from crossaec.nn import (
     reshape,
     scale,
     swapaxes,
+    tanh,
     tensor_sum,
 )
-from crossaec.nn.tensor import _make, add, tanh
 
 
 def _attend(q, k, v, key_mask=None):
@@ -320,8 +324,6 @@ def test_gradcheck_output_projection_with_loss():
         return cross_entropy(logits, targets, np.full((1, 3), 1 / 3))
 
     def _transpose_embedding(e):
-        from crossaec.nn import swapaxes
-
         return swapaxes(e.weight, 0, 1)
 
     assert gradient_check(loss, store) <= 1e-4
@@ -377,6 +379,16 @@ def test_adam_single_step_matches_hand_formula():
     v_hat = (0.001 * 1.0) / (1 - 0.999)
     expected = 0.5 - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
     assert abs(p.data[0] - expected) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [math.nan, math.inf, -math.inf, "0.1", None, True],
+    ids=["nan", "inf", "-inf", "str", "none", "bool"],
+)
+def test_optimizer_config_rejects_bad_learning_rate(bad):
+    with pytest.raises(ConfigurationError, match=re.escape(f"got {bad!r}")):
+        OptimizerConfig(learning_rate=bad)
 
 
 def test_model_config_validation():
@@ -461,6 +473,14 @@ def test_load_state_dict_rejects_non_finite_values(bad):
     store = _store({"w": np.zeros(2), "b": np.zeros(2)})
     with pytest.raises(DegenerateInputError, match="for w"):
         store.load_state_dict({"w": [bad, 1.0], "b": [0.0, 0.0]})
+    np.testing.assert_array_equal(store["w"].data, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [None, 5, [("w", [1.0, 2.0])]], ids=["none", "int", "pairs"])
+def test_load_state_dict_rejects_non_mapping(bad):
+    store = _store({"w": np.zeros(2)})
+    with pytest.raises(ShapeError, match="state must be a mapping"):
+        store.load_state_dict(bad)
     np.testing.assert_array_equal(store["w"].data, [0.0, 0.0])
 
 

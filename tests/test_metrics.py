@@ -1,9 +1,8 @@
 """Metric oracles: exhaustive edit-distance checks and frozen BLEU/GLEU fixtures."""
 
+import importlib.util
 import itertools
-import math
-from collections import Counter
-from functools import lru_cache
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -25,106 +24,19 @@ from crossaec.metrics import (
 )
 
 
-# ---------------------------------------------------------------------------
-# Independent oracles (recursive definition; no DP table shared with the
-# implementation).
+# The one brute-force oracle, shared with the benchmark's output checks. It is
+# loaded by path: putting perfbench/ on sys.path would let its run/bench
+# modules shadow other names.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_reference",
+    Path(__file__).resolve().parent.parent / "perfbench" / "reference.py",
+)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 
-def oracle_edit_distance(ref, hyp):
-    @lru_cache(maxsize=None)
-    def go(i, j):
-        if i == len(ref):
-            return len(hyp) - j
-        if j == len(hyp):
-            return len(ref) - i
-        best = go(i + 1, j + 1) + (0 if ref[i] == hyp[j] else 1)
-        best = min(best, go(i + 1, j) + 1, go(i, j + 1) + 1)
-        return best
-
-    return go(0, 0)
-
-
-def oracle_edit_counts(ref, hyp):
-    """(S, I, D) traced back from the end over the recursive prefix distance,
-    ties broken match > substitute > delete > insert."""
-
-    @lru_cache(maxsize=None)
-    def dist(i, j):
-        if i == 0 or j == 0:
-            return i + j
-        return min(
-            dist(i - 1, j - 1) + (ref[i - 1] != hyp[j - 1]),
-            dist(i - 1, j) + 1,
-            dist(i, j - 1) + 1,
-        )
-
-    s = ins = dels = 0
-    i, j = len(ref), len(hyp)
-    while i > 0 or j > 0:
-        differ = i > 0 and j > 0 and ref[i - 1] != hyp[j - 1]
-        if i > 0 and j > 0 and dist(i, j) == dist(i - 1, j - 1) + differ:
-            s += differ
-            i, j = i - 1, j - 1
-        elif i > 0 and dist(i, j) == dist(i - 1, j) + 1:
-            dels += 1
-            i -= 1
-        else:
-            ins += 1
-            j -= 1
-    return s, ins, dels
-
-
-def _ngram_list(ws, n):
-    return [tuple(ws[i : i + n]) for i in range(len(ws) - n + 1)]
-
-
-def oracle_bleu(pairs, max_n=4):
-    total_hyp_len = sum(len(h) for _, h in pairs)
-    total_ref_len = sum(len(r) for r, _ in pairs)
-    if total_hyp_len == 0:
-        return 0.0
-    logs = 0.0
-    for n in range(1, max_n + 1):
-        num = 0
-        den = 0
-        for ref, hyp in pairs:
-            hgrams = _ngram_list(hyp, n)
-            den += len(hgrams)
-            rcount = Counter(_ngram_list(ref, n))
-            hcount = Counter(hgrams)
-            for g in hcount:
-                num += min(hcount[g], rcount[g]) if g in rcount else 0
-        if n >= 2 and (den == 0 or num == 0):
-            num, den = num + 1, den + 1
-        if num == 0 or den == 0:
-            return 0.0
-        logs += math.log(num) - math.log(den)
-    bp = 1.0 if total_hyp_len >= total_ref_len else math.exp(1 - total_ref_len / total_hyp_len)
-    return 100.0 * bp * math.exp(logs / max_n)
-
-
-def oracle_gleu(pairs, max_n=4):
-    num = 0.0
-    den = 0.0
-    for ref, hyp in pairs:
-        rall = []
-        hall = []
-        for n in range(1, max_n + 1):
-            rall += _ngram_list(ref, n)
-            hall += _ngram_list(hyp, n)
-        rc, hc = Counter(rall), Counter(hall)
-        overlap = sum(min(rc[g], hc[g]) for g in hc)
-        if len(rall) == 0 or len(hall) == 0:
-            g = 0.0
-        else:
-            g = min(overlap / len(hall), overlap / len(rall))
-        num += len(ref) * g
-        den += len(ref)
-    return 100.0 * num / den
-
-
-# Frozen values computed with the oracles above; asserted against both the
-# implementation and a fresh oracle run.
+# Frozen values computed with the reference; asserted against both the
+# implementation and a fresh reference run.
 FIXTURE = [
     ([("the cat sat", "the cat sat")], 100.0, 100.0),
     ([("the cat sat", "the cat")], 60.653065971263345, 50.0),
@@ -185,7 +97,7 @@ def test_edit_ops_single_substitution():
     alignment = edit_ops("a b c".split(), "a x c".split())
     assert alignment.cost == 1
     assert alignment.counts() == (1, 0, 0)
-    assert alignment.cost == oracle_edit_distance(("a", "b", "c"), ("a", "x", "c"))
+    assert alignment.cost == sum(reference.edit_counts(("a", "b", "c"), ("a", "x", "c")))
 
 
 def test_edit_ops_replay_transforms_ref_into_hyp():
@@ -211,7 +123,7 @@ def test_edit_ops_exhaustive_small_pairs_match_oracle():
         seqs += list(itertools.product(vocab, repeat=length))
     for ref in seqs:
         for hyp in seqs:
-            assert edit_ops(ref, hyp).cost == oracle_edit_distance(ref, hyp)
+            assert edit_ops(ref, hyp).cost == sum(reference.edit_counts(ref, hyp))
 
 
 def test_edit_ops_random_len6_pairs_match_oracle():
@@ -220,7 +132,7 @@ def test_edit_ops_random_len6_pairs_match_oracle():
     for _ in range(2500):
         ref = tuple(vocab[i] for i in rng.integers(0, 4, rng.integers(0, 7)))
         hyp = tuple(vocab[i] for i in rng.integers(0, 4, rng.integers(0, 7)))
-        assert edit_ops(ref, hyp).cost == oracle_edit_distance(ref, hyp)
+        assert edit_ops(ref, hyp).cost == sum(reference.edit_counts(ref, hyp))
 
 
 def test_wer_identical_corpus_is_zero():
@@ -263,9 +175,9 @@ def test_bleu_gleu_fixture(case, expected_bleu, expected_gleu):
     pairs = _pairs(case)
     assert abs(bleu(pairs) - expected_bleu) < 1e-9
     assert abs(gleu(pairs) - expected_gleu) < 1e-9
-    # The oracle itself must reproduce the frozen values.
-    assert abs(oracle_bleu(pairs) - expected_bleu) < 1e-9
-    assert abs(oracle_gleu(pairs) - expected_gleu) < 1e-9
+    # The reference itself must reproduce the frozen values.
+    assert abs(reference.bleu(pairs) - expected_bleu) < 1e-9
+    assert abs(reference.gleu(pairs) - expected_gleu) < 1e-9
 
 
 def test_monotone_degradation_appending_nonmatching_word():
@@ -343,12 +255,11 @@ def test_report_matches_oracles_over_ragged_corpora(pairs):
         report = MetricsReport.compute(pairs)
     per_pair = [edit_ops(ref, hyp).counts() for ref, hyp in pairs]
     for (ref, hyp), counts in zip(pairs, per_pair):
-        assert counts == oracle_edit_counts(ref, hyp)
-        assert sum(counts) == oracle_edit_distance(tuple(ref), tuple(hyp))
+        assert counts == reference.edit_counts(ref, hyp)
     totals = tuple(sum(c[k] for c in per_pair) for k in range(3))
     assert (report.substitutions, report.insertions, report.deletions) == totals
     assert report.ref_words == sum(len(ref) for ref, _ in pairs)
     assert report.wer == 100.0 * sum(totals) / report.ref_words
-    assert abs(report.bleu - oracle_bleu(pairs)) < 1e-9
-    assert abs(report.gleu - oracle_gleu(pairs)) < 1e-9
+    assert abs(report.bleu - reference.bleu(pairs)) < 1e-9
+    assert abs(report.gleu - reference.gleu(pairs)) < 1e-9
     assert (report.bleu, report.gleu) == (bleu(pairs), gleu(pairs))

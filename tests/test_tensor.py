@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crossaec.errors import DegenerateInputError, ShapeError
-from crossaec.nn import (
+from crossaec.nn.tensor import (
     Tensor,
     add,
     attention,

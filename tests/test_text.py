@@ -18,7 +18,6 @@ from crossaec.text import (
     PAD_ID,
     SPECIALS,
     UNK_ID,
-    UNK_WORD,
     CorpusRecord,
     Vocabulary,
     build_vocab,
@@ -36,7 +35,7 @@ def _records(*texts):
 def test_specials_occupy_fixed_ids():
     vocab = build_vocab(_records("a b"))
     assert (PAD_ID, BOS_ID, EOS_ID, UNK_ID) == (0, 1, 2, 3)
-    assert vocab.word_of(UNK_ID) == UNK_WORD
+    assert vocab.word_of(UNK_ID) == "<unk>"
     assert len(vocab) >= 4
 
 
@@ -107,7 +106,7 @@ def test_decode_strips_specials_and_renders_unk():
     a = vocab.id_of("a")
     assert decode(vocab, [BOS_ID, a, EOS_ID]) == ["a"]
     assert decode(vocab, [BOS_ID, EOS_ID]) == []
-    assert decode(vocab, [BOS_ID, UNK_ID, EOS_ID]) == [UNK_WORD]
+    assert decode(vocab, [BOS_ID, UNK_ID, EOS_ID]) == ["<unk>"]
 
 
 def test_decode_out_of_range_rejected():
