@@ -22,6 +22,7 @@ from crossaec.errors import (
     ShapeError,
 )
 from crossaec.nn.tensor import Tensor, linear, tanh
+from crossaec.util import as_number
 
 Boundary = Tuple[int, int]
 
@@ -39,20 +40,21 @@ class PrototypeTable:
     confusable_pairs: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self):
-        sigma = self.noise_sigma
-        if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
-            raise ShapeError(f"noise_sigma must be a number, got {sigma!r}")
+        sigma = as_number(self.noise_sigma, float)
+        if sigma is None:
+            raise ShapeError(f"noise_sigma must be a number, got {self.noise_sigma!r}")
         if not np.isfinite(sigma):
             raise DegenerateInputError(f"noise_sigma is not finite: {sigma}")
         if sigma < 0:
             raise ShapeError("noise_sigma must be >= 0")
+        self.noise_sigma = sigma
         if not self.prototypes:
             raise CoverageError("prototype table has no words")
         shapes = {np.shape(v) for v in self.prototypes.values()}
-        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+        if len(shapes) != 1 or [len(s) for s in shapes] != [1] or (0,) in shapes:
             raise ShapeError(
-                f"prototypes must be vectors of one dimension, got shapes "
-                f"{sorted(shapes)}"
+                f"prototypes must be non-empty vectors of one dimension, got "
+                f"shapes {sorted(shapes)}"
             )
         # float64 arrays pass through np.asarray uncopied.
         self.prototypes = {
@@ -95,12 +97,15 @@ def build_prototypes(
     if clusters is None:
         vectors = {w: rng.normal(0.0, 1.0, feature_dim) for w in words}
     else:
+        count = as_number(clusters, int)
+        if count is None or count < 1:
+            raise ShapeError(f"clusters must be an integer >= 1, got {clusters!r}")
         if confusable_pairs:
             raise CoverageError(
                 "clustered prototypes cannot guarantee confusable-pair separation"
             )
-        centers = rng.normal(0.0, 1.0, (clusters, feature_dim))
-        vectors = {w: centers[i % clusters].copy() for i, w in enumerate(words)}
+        centers = rng.normal(0.0, 1.0, (count, feature_dim))
+        vectors = {w: centers[i % count].copy() for i, w in enumerate(words)}
     for a, b in confusable_pairs:
         if a not in vectors or b not in vectors:
             raise CoverageError(f"confusable pair ({a}, {b}) not in word list")
@@ -123,20 +128,23 @@ def synth_frames(
 
     Returns the frame matrix and the exact per-reference-word boundaries.
     """
-    if frames_per_word < 1:
-        raise ShapeError("frames_per_word must be >= 1")
+    per_word = as_number(frames_per_word, int)
+    if per_word is None or per_word < 1:
+        raise ShapeError(
+            f"frames_per_word must be an integer >= 1, got {frames_per_word!r}"
+        )
     missing = [w for w in ref_words if w not in table.prototypes]
     if missing:
         raise CoverageError(f"no prototype for words: {sorted(set(missing))}")
     rng = np.random.default_rng(rng_seed)
     count = len(ref_words)
     # One draw in row order gives the same values as one draw per word.
-    noise = rng.normal(0.0, table.noise_sigma, (count * frames_per_word, table.dim))
+    noise = rng.normal(0.0, table.noise_sigma, (count * per_word, table.dim))
     protos = np.array([table.prototypes[w] for w in ref_words])
     protos = protos.reshape(count, table.dim)
-    frames = np.repeat(protos, frames_per_word, axis=0) + noise
+    frames = np.repeat(protos, per_word, axis=0) + noise
     boundaries: List[Boundary] = [
-        (i * frames_per_word, (i + 1) * frames_per_word) for i in range(count)
+        (i * per_word, (i + 1) * per_word) for i in range(count)
     ]
     return frames, boundaries
 
@@ -191,21 +199,21 @@ def fft_resample(frames: np.ndarray, target_len: int) -> np.ndarray:
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] < 1:
         raise ShapeError("fft_resample expects a non-empty 2D frame matrix")
-    if target_len < 1:
-        raise ShapeError("target_len must be >= 1")
+    rows = as_number(target_len, int)
+    if rows is None or rows < 1:
+        raise ShapeError(f"target_len must be an integer >= 1, got {target_len!r}")
     source_len = frames.shape[0]
     spectrum = np.fft.fft(frames, axis=0)
-    kept = min(source_len, target_len)
+    kept = min(source_len, rows)
     pos = kept // 2  # == ceil((kept - 1) / 2) for both parities
-    out_spec = np.zeros((target_len, frames.shape[1]), dtype=complex)
+    out_spec = np.zeros((rows, frames.shape[1]), dtype=complex)
     out_spec[0] = spectrum[0]
     if pos >= 1:
         out_spec[1 : pos + 1] = spectrum[1 : pos + 1]
         neg = kept - 1 - pos
         if neg >= 1:
-            out_spec[target_len - neg :] = spectrum[source_len - neg :]
-    resampled = np.fft.ifft(out_spec, axis=0).real * (target_len / source_len)
-    return resampled
+            out_spec[rows - neg :] = spectrum[source_len - neg :]
+    return np.fft.ifft(out_spec, axis=0).real * (rows / source_len)
 
 
 class DsuSequence(NamedTuple):

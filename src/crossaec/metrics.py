@@ -45,23 +45,6 @@ class EditOp:
     hyp_index: int
 
 
-@dataclass(frozen=True)
-class EditAlignment:
-    """Minimal-cost edit script turning ref into hyp."""
-
-    ops: Tuple[EditOp, ...]
-
-    @property
-    def cost(self) -> int:
-        return sum(1 for op in self.ops if op.kind != MATCH)
-
-    def counts(self) -> Tuple[int, int, int]:
-        s = sum(1 for op in self.ops if op.kind == SUBSTITUTE)
-        i = sum(1 for op in self.ops if op.kind == INSERT)
-        d = sum(1 for op in self.ops if op.kind == DELETE)
-        return s, i, d
-
-
 def _word_ids(pairs: Iterable[Pair]) -> List[IdPair]:
     """Map the words of every pair to integers, one id per distinct word."""
     ids: Dict[str, int] = {}
@@ -149,8 +132,8 @@ def _edit_kinds(id_pairs: Sequence[IdPair]) -> List[List[str]]:
     return kinds
 
 
-def edit_ops(ref_words: Sequence[str], hyp_words: Sequence[str]) -> EditAlignment:
-    """Unit-cost Levenshtein alignment.
+def edit_ops(ref_words: Sequence[str], hyp_words: Sequence[str]) -> Tuple[EditOp, ...]:
+    """Unit-cost Levenshtein alignment: the edit script turning ref into hyp.
 
     Ties break in favor of match > substitute > delete > insert, applied
     during backtrace from the end, which makes the alignment (not just
@@ -162,7 +145,7 @@ def edit_ops(ref_words: Sequence[str], hyp_words: Sequence[str]) -> EditAlignmen
         ops.append(EditOp(kind, i, j))
         i += kind != INSERT
         j += kind != DELETE
-    return EditAlignment(tuple(ops))
+    return tuple(ops)
 
 
 def _ngram_counts(words: Sequence) -> Counter:

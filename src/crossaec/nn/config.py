@@ -6,6 +6,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from crossaec.errors import ConfigurationError
+from crossaec.util import as_number
 
 
 @dataclass(frozen=True)
@@ -24,13 +25,14 @@ class ModelConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            # bool is an int subclass, but True is not a dimension.
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+            raw = getattr(self, f.name)
+            value = as_number(raw, int)
+            if value is None:
+                raise ConfigurationError(f"{f.name} must be an integer, got {raw!r}")
             floor = 0 if f.name == "seed" else 1  # numpy takes no negative seed
             if value < floor:
                 raise ConfigurationError(f"{f.name} must be >= {floor}, got {value}")
+            object.__setattr__(self, f.name, value)
         if self.model_dim % self.num_heads != 0:
             raise ConfigurationError(
                 f"model_dim {self.model_dim} not divisible by "
@@ -59,7 +61,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         lr = self.learning_rate
-        # bool is an int subclass, but True is not a rate.
-        number = isinstance(lr, (int, float)) and not isinstance(lr, bool)
-        if not (number and math.isfinite(lr) and lr >= 0):
+        rate = as_number(lr, float)
+        if rate is None or not (math.isfinite(rate) and rate >= 0):
             raise ConfigurationError(f"learning_rate must be in [0, inf), got {lr!r}")
+        object.__setattr__(self, "learning_rate", rate)

@@ -45,6 +45,14 @@ def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
     return table
 
 
+def _token_ids(ids, vocab_size: int) -> np.ndarray:
+    """``ids`` as an int64 array, every one checked to lie in [0, vocab_size)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        raise VocabularyError(f"token id outside vocabulary of size {vocab_size}")
+    return ids
+
+
 class Linear:
     def __init__(
         self,
@@ -79,12 +87,7 @@ class Embedding:
         )
 
     def __call__(self, ids: np.ndarray) -> Tensor:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
-            raise VocabularyError(
-                f"token id outside vocabulary of size {self.vocab_size}"
-            )
-        return embedding_lookup(self.weight, ids)
+        return embedding_lookup(self.weight, _token_ids(ids, self.vocab_size))
 
 
 class LayerNorm:
@@ -209,11 +212,7 @@ class DecoderLayer:
         )
 
     def __call__(
-        self,
-        x: Tensor,
-        self_mask: np.ndarray,
-        memory: Tensor,
-        memory_mask: np.ndarray,
+        self, x: Tensor, self_mask: np.ndarray, memory: Tensor, memory_mask: np.ndarray
     ) -> Tensor:
         normed = self.norm1(x)
         x = add(
@@ -238,14 +237,8 @@ class Decoder:
         self.final_norm = LayerNorm(store, f"{name}.final_norm", config.model_dim)
 
     def __call__(
-        self,
-        x: Tensor,
-        self_mask: np.ndarray,
-        memory: Tensor,
-        memory_mask: np.ndarray,
+        self, x: Tensor, self_mask: np.ndarray, memory: Tensor, memory_mask: np.ndarray
     ) -> Tensor:
-        if memory.data.shape[1] == 0:
-            raise DegenerateInputError("decoder requires non-empty memory")
         for layer in self.layers:
             x = layer(x, self_mask, memory, memory_mask)
         return self.final_norm(x)
@@ -260,4 +253,5 @@ def cross_entropy_loss(
     if total == 0:
         raise DegenerateInputError("loss over zero unmasked positions")
     weights = mask.astype(np.float64) / total
-    return cross_entropy(logits, target_ids, weights)
+    ids = _token_ids(target_ids, logits.data.shape[-1])
+    return cross_entropy(logits, ids, weights)

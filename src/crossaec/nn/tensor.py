@@ -294,8 +294,8 @@ def attention(
         )
     batch, lq, dim = q.data.shape
     lk = k.data.shape[1]
-    if dim % num_heads:
-        raise ShapeError(f"dim {dim} is not divisible by {num_heads} heads")
+    if num_heads < 1 or dim % num_heads:
+        raise ShapeError(f"dim {dim} does not split into {num_heads} heads")
     mask = np.asarray(mask, dtype=bool)
     if (
         mask.ndim != 3

@@ -1,9 +1,22 @@
-"""Small shared helpers: seed derivation and canonical JSON hashing."""
+"""Small shared helpers: the number rule, seed derivation, canonical JSON hashing."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+
+import numpy as np
+
+
+def as_number(value, kind: type) -> int | float | None:
+    """``value`` as a plain ``kind`` (int or float), or None if it is not one:
+    ints count as either kind and floats as float, numpy's as well as Python's,
+    but ``bool`` never does (True is not a size, a seed or a rate)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return kind(value)
+    if kind is float and isinstance(value, (float, np.floating)):
+        return float(value)
+    return None
 
 
 def derive_seed(*parts) -> int:

@@ -109,6 +109,13 @@ def test_prototype_table_rejects_unequal_dimensions():
         PrototypeTable(prototypes={"a": np.zeros((2, 3))}, noise_sigma=0.1)
 
 
+def test_prototype_table_rejects_zero_width_prototypes():
+    with pytest.raises(ShapeError):
+        PrototypeTable(prototypes={"a": np.zeros(0)}, noise_sigma=0.1)
+    with pytest.raises(ShapeError):
+        build_prototypes(["a", "b"], [], 0, 0.1, seed=0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_prototype_table_rejects_non_finite_prototype(bad):
     prototypes = {"a": np.ones(3), "b": np.array([1.0, bad, 0.0])}
@@ -136,6 +143,52 @@ def test_prototype_table_rejects_non_finite_noise_sigma(bad, error):
             noise_sigma=bad,
             confusable_pairs=(("a", "b"),),
         )
+
+
+@pytest.mark.parametrize(
+    "sigma, plain",
+    [(np.float32(0.5), 0.5), (np.float64(0.5), 0.5), (np.int64(0), 0.0), (0, 0.0)],
+    ids=["float32", "float64", "int64", "int"],
+)
+def test_prototype_table_stores_noise_sigma_as_plain_float(sigma, plain):
+    table = PrototypeTable(prototypes={"a": np.zeros(3)}, noise_sigma=sigma)
+    assert type(table.noise_sigma) is float and table.noise_sigma == plain
+
+
+def _frames_per_word(n):
+    frames, bounds = synth_frames(["red", "blue"], _table(), n, rng_seed=4)
+    return frames.tolist(), bounds
+
+
+def _target_len(n):
+    return fft_resample(np.arange(12.0).reshape(6, 2), n).tolist()
+
+
+def _clusters(n):
+    table = build_prototypes(["a", "b", "c"], [], 6, 0.1, seed=5, clusters=n)
+    return {w: v.tolist() for w, v in table.prototypes.items()}
+
+
+# Each integer argument of the acoustic functions, as a call returning JSON.
+INTEGER_SITES = {
+    "frames_per_word": _frames_per_word,
+    "target_len": _target_len,
+    "clusters": _clusters,
+}
+
+
+@pytest.mark.parametrize("to_numpy", [np.int64, np.int32])
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_integer_arguments_take_numpy_integers(site, to_numpy):
+    call = INTEGER_SITES[site]
+    assert stable_hash(call(to_numpy(2))) == stable_hash(call(2))
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "2", 0], ids=["bool", "float", "str", "zero"])
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_integer_arguments_reject_non_integers(site, bad):
+    with pytest.raises(ShapeError, match=site):
+        INTEGER_SITES[site](bad)
 
 
 def test_list_prototypes_give_the_frames_of_array_prototypes():

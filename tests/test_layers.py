@@ -6,10 +6,16 @@ import re
 import numpy as np
 import pytest
 
-from crossaec.errors import ConfigurationError, DegenerateInputError, ShapeError
+from crossaec.errors import (
+    ConfigurationError,
+    DegenerateInputError,
+    ShapeError,
+    VocabularyError,
+)
 from crossaec.nn.config import ModelConfig, OptimizerConfig
 from crossaec.nn.gradcheck import gradient_check
 from crossaec.nn.layers import (
+    Decoder,
     Embedding,
     FeedForward,
     LayerNorm,
@@ -35,6 +41,7 @@ from crossaec.nn.tensor import (
     tanh,
     tensor_sum,
 )
+from crossaec.util import stable_hash
 
 
 def _attend(q, k, v, key_mask=None):
@@ -107,6 +114,13 @@ def test_attention_errors():
         _attend(ones((2, 3)), ones((2, 3)), ones((2, 3)), np.array([False, False]))
 
 
+@pytest.mark.parametrize("heads", [0, -2])
+def test_attention_rejects_fewer_than_one_head(heads):
+    x = Tensor(np.ones((1, 2, 4)))
+    with pytest.raises(ShapeError):
+        attention(x, x, x, heads, np.ones((1, 1, 2), dtype=bool))
+
+
 @pytest.mark.parametrize("key_mask", [np.ones(3, bool), np.ones((1, 2), bool)])
 def test_multi_head_attention_rejects_misshapen_key_mask(key_mask):
     attn = MultiHeadAttention(ParameterStore(), "attn", 4, 2, _tiny_rng())
@@ -141,6 +155,35 @@ def test_cross_entropy_loss_all_masked_rejected():
             Tensor(np.zeros((1, 2, 4))),
             np.array([[0, 1]]),
             np.zeros((1, 2), dtype=bool),
+        )
+
+
+@pytest.mark.parametrize("bad", [-1, 5], ids=["negative", "vocab-size"])
+def test_cross_entropy_loss_rejects_ids_outside_vocabulary(bad):
+    with pytest.raises(VocabularyError):
+        cross_entropy_loss(
+            Tensor(np.zeros((1, 2, 5))),
+            np.array([[bad, 0]]),
+            np.ones((1, 2), dtype=bool),
+        )
+
+
+@pytest.mark.parametrize("bad", [-1, 5], ids=["negative", "vocab-size"])
+def test_embedding_rejects_ids_outside_vocabulary(bad):
+    emb = Embedding(ParameterStore(), "emb", 5, 4, _tiny_rng())
+    with pytest.raises(VocabularyError):
+        emb(np.array([[0, bad]]))
+
+
+def test_decoder_over_empty_memory_is_degenerate():
+    config = ModelConfig(model_dim=4, num_heads=2, decoder_layers=1, feedforward_dim=8)
+    decoder = Decoder(ParameterStore(), "dec", config, _tiny_rng())
+    with pytest.raises(DegenerateInputError):
+        decoder(
+            Tensor(np.ones((1, 2, 4))),
+            np.ones((1, 2), dtype=bool),
+            Tensor(np.ones((1, 0, 4))),
+            np.ones((1, 0), dtype=bool),
         )
 
 
@@ -391,6 +434,25 @@ def test_optimizer_config_rejects_bad_learning_rate(bad):
         OptimizerConfig(learning_rate=bad)
 
 
+@pytest.mark.parametrize(
+    "rate, plain",
+    [(np.float32(0.5), 0.5), (np.float64(0.5), 0.5), (np.int64(1), 1.0), (2, 2.0)],
+    ids=["float32", "float64", "int64", "int"],
+)
+def test_optimizer_config_stores_learning_rate_as_plain_float(rate, plain):
+    lr = OptimizerConfig(learning_rate=rate).learning_rate
+    assert type(lr) is float and lr == plain
+
+
+@pytest.mark.parametrize("to_numpy", [np.int64, np.int32, np.uint16])
+def test_model_config_stores_numpy_integers_as_plain_ints(to_numpy):
+    plain = ModelConfig(model_dim=32, num_heads=2, vocab_size=50, seed=3)
+    cfg = ModelConfig(**{k: to_numpy(v) for k, v in plain.to_dict().items()})
+    assert cfg == plain
+    assert all(type(v) is int for v in cfg.to_dict().values())
+    assert stable_hash(cfg.to_dict()) == stable_hash(plain.to_dict())
+
+
 def test_model_config_validation():
     with pytest.raises(ConfigurationError):
         ModelConfig(model_dim=10, num_heads=4)
@@ -411,6 +473,8 @@ def test_model_config_dict_round_trip():
         ({"model_dim": 64, "dropout": 0.1}, "dropout"),
         ({"model_dim": "64"}, "model_dim"),
         ({"num_heads": 2.0}, "num_heads"),
+        ({"num_heads": 2.5}, "num_heads"),
+        ({"model_dim": np.float64(64.0)}, "model_dim"),
         ({"encoder_layers": True}, "encoder_layers"),
         ({"seed": None}, "seed"),
         ({"seed": -1}, "seed"),
@@ -420,7 +484,8 @@ def test_model_config_dict_round_trip():
         ("ab", "JSON object"),
     ],
     ids=[
-        "unknown-key", "string", "float", "bool", "none-seed", "negative-seed",
+        "unknown-key", "string", "float", "fraction", "numpy-float", "bool",
+        "none-seed", "negative-seed",
         "list", "none", "int", "str",
     ],
 )
