@@ -4,8 +4,9 @@ Frames stand in for self-supervised speech features: each spoken word
 contributes a run of frames drawn from its prototype vector plus noise.
 Frames are made in memory from a ``PrototypeTable`` and a seed and never
 touch disk, so the table is where non-finite values are rejected.
-Word-level acoustic vectors are means over boundary intervals; the
-continuous baselines are Fourier-resampled frame sequences.
+Word-level acoustic vectors are means over boundary intervals, and
+``mean_pool_awe`` is where those intervals are checked against the
+frames; the continuous baselines are Fourier-resampled frame sequences.
 """
 
 from __future__ import annotations
@@ -29,15 +30,11 @@ Boundary = Tuple[int, int]
 
 @dataclass
 class PrototypeTable:
-    """Word -> prototype vector, plus the frame noise level.
-
-    Designated confusable pairs must keep their prototypes at least
-    4*noise_sigma apart so the acoustic signal can separate them.
-    """
+    """Word -> prototype vector of one shared dimension, plus the frame
+    noise level: finite vectors and a finite ``noise_sigma`` >= 0."""
 
     prototypes: Dict[str, np.ndarray]
     noise_sigma: float
-    confusable_pairs: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self):
         sigma = as_number(self.noise_sigma, float)
@@ -64,15 +61,6 @@ class PrototypeTable:
         if not finite.all():
             word = list(self.prototypes)[int(np.argmin(finite))]
             raise DegenerateInputError(f"prototype for {word!r} is not finite")
-        for a, b in self.confusable_pairs:
-            if a not in self.prototypes or b not in self.prototypes:
-                raise CoverageError(f"confusable pair ({a}, {b}) has no prototype")
-            gap = float(np.linalg.norm(self.prototypes[a] - self.prototypes[b]))
-            if gap < 4.0 * self.noise_sigma:
-                raise CoverageError(
-                    f"prototypes for confusable pair ({a}, {b}) are only "
-                    f"{gap:.4f} apart (< 4 * noise_sigma)"
-                )
 
     @property
     def dim(self) -> int:
@@ -81,41 +69,30 @@ class PrototypeTable:
 
 def build_prototypes(
     words: Sequence[str],
-    confusable_pairs: Sequence[Tuple[str, str]],
     feature_dim: int,
     noise_sigma: float,
     seed: int,
     clusters: Optional[int] = None,
 ) -> PrototypeTable:
-    """Random prototypes; ``clusters`` collapses words onto shared vectors.
+    """Standard-normal prototypes of ``feature_dim`` values per word.
 
+    ``clusters`` collapses words onto that many shared vectors;
     ``clusters=1`` makes the acoustics carry no word identity at all (the
-    uninformative-control construction); confusable pairs then cannot be
-    requested.
+    uninformative-control construction).
     """
+    dim = as_number(feature_dim, int)
+    if dim is None or dim < 1:
+        raise ShapeError(f"feature_dim must be an integer >= 1, got {feature_dim!r}")
     rng = np.random.default_rng(seed)
     if clusters is None:
-        vectors = {w: rng.normal(0.0, 1.0, feature_dim) for w in words}
+        vectors = {w: rng.normal(0.0, 1.0, dim) for w in words}
     else:
         count = as_number(clusters, int)
         if count is None or count < 1:
             raise ShapeError(f"clusters must be an integer >= 1, got {clusters!r}")
-        if confusable_pairs:
-            raise CoverageError(
-                "clustered prototypes cannot guarantee confusable-pair separation"
-            )
-        centers = rng.normal(0.0, 1.0, (count, feature_dim))
+        centers = rng.normal(0.0, 1.0, (count, dim))
         vectors = {w: centers[i % count].copy() for i, w in enumerate(words)}
-    for a, b in confusable_pairs:
-        if a not in vectors or b not in vectors:
-            raise CoverageError(f"confusable pair ({a}, {b}) not in word list")
-        while np.linalg.norm(vectors[a] - vectors[b]) < 4.0 * noise_sigma:
-            vectors[b] = rng.normal(0.0, 1.0, feature_dim)
-    return PrototypeTable(
-        prototypes=vectors,
-        noise_sigma=noise_sigma,
-        confusable_pairs=tuple(confusable_pairs),
-    )
+    return PrototypeTable(prototypes=vectors, noise_sigma=noise_sigma)
 
 
 def synth_frames(
@@ -149,35 +126,17 @@ def synth_frames(
     return frames, boundaries
 
 
-def validate_boundaries(
-    boundaries: Sequence[Boundary], num_frames: int, context: str = ""
-) -> List[Boundary]:
+def validate_boundaries(boundaries: Sequence[Boundary], num_frames: int) -> None:
+    """Spans are non-empty, inside [0, num_frames) and in order without overlap."""
     prev_end = 0
-    checked = []
     for start, end in boundaries:
         if not (0 <= start < end <= num_frames):
             raise AlignmentError(
-                f"{context}boundary ({start}, {end}) outside frames [0, {num_frames})"
+                f"boundary ({start}, {end}) outside frames [0, {num_frames})"
             )
         if start < prev_end:
-            raise AlignmentError(
-                f"{context}boundary ({start}, {end}) overlaps previous interval"
-            )
+            raise AlignmentError(f"boundary ({start}, {end}) overlaps previous span")
         prev_end = end
-        checked.append((int(start), int(end)))
-    return checked
-
-
-def load_alignment(record, num_frames: int) -> List[Boundary]:
-    """Validated hyp-word boundaries from a corpus record.
-
-    Their count is the record's own invariant (one per hypothesis word).
-    """
-    if record.boundaries is None:
-        raise AlignmentError(f"record {record.id!r} carries no boundaries")
-    return validate_boundaries(
-        record.boundaries, num_frames, context=f"record {record.id!r}: "
-    )
 
 
 def mean_pool_awe(frames: np.ndarray, boundaries: Sequence[Boundary]) -> np.ndarray:
@@ -225,15 +184,16 @@ class DsuSequence(NamedTuple):
 
 def pad_dsu(awe: np.ndarray, target_len: int) -> DsuSequence:
     """Zero-pad word vectors up to the word-embedding length."""
+    rows = as_number(target_len, int)
+    if rows is None or rows < 1:
+        raise ShapeError(f"target_len must be an integer >= 1, got {target_len!r}")
     awe = np.asarray(awe, dtype=np.float64)
     count = awe.shape[0]
-    if count > target_len:
-        raise ShapeError(
-            f"{count} acoustic rows exceed the target length {target_len}"
-        )
-    vectors = np.zeros((target_len, awe.shape[1]))
+    if count > rows:
+        raise ShapeError(f"{count} acoustic rows exceed target_len {rows}")
+    vectors = np.zeros((rows, awe.shape[1]))
     vectors[:count] = awe
-    mask = np.zeros(target_len, dtype=bool)
+    mask = np.zeros(rows, dtype=bool)
     mask[:count] = True
     return DsuSequence(vectors, mask)
 

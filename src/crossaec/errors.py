@@ -38,7 +38,7 @@ class CorpusFormatError(CrossAecError):
 
 
 class AlignmentError(CrossAecError):
-    """Word boundaries are inconsistent with the frames or hypothesis."""
+    """Word spans are inconsistent with the frames."""
 
     exit_code = 3
 

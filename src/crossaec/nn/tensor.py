@@ -386,11 +386,16 @@ def cross_entropy(
     mean, ...).
     """
     ids = np.asarray(target_ids, dtype=np.int64)
-    w = np.broadcast_to(np.asarray(weights, dtype=np.float64), ids.shape)
     if ids.shape != logits.data.shape[:-1]:
         raise ShapeError(
             f"targets {ids.shape} do not match logits {logits.data.shape}"
         )
+    try:
+        w = np.broadcast_to(np.asarray(weights, dtype=np.float64), ids.shape)
+    except ValueError:
+        raise ShapeError(
+            f"weights {np.shape(weights)} do not fit targets {ids.shape}"
+        ) from None
     x = logits.data
     mx = x.max(axis=-1, keepdims=True)
     expd = x - mx

@@ -6,8 +6,9 @@ strip punctuation except apostrophes) is applied once at ingestion and
 shared by training and metrics, which makes WER casing- and
 punctuation-insensitive by construction.
 
-A JSONL corpus is the program's only file input; acoustic frames are
-made in memory (``crossaec.acoustic``), so a record carries no frame path.
+A JSONL corpus is the program's only file input: one object per line
+with string ``id`` and ``ref``, an optional string ``hyp`` and no other
+key. Frames and their word spans are made in memory (``crossaec.acoustic``).
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from crossaec.errors import (
     CorpusFormatError,
@@ -73,21 +73,15 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class CorpusRecord:
-    """One utterance: reference words, hypothesis words, optional boundaries."""
+    """One utterance: reference words and hypothesis words."""
 
     id: str
     ref_words: List[str]
     hyp_words: List[str] = field(default_factory=list)
-    boundaries: Optional[List[Tuple[int, int]]] = None
 
     def __post_init__(self):
         if not self.ref_words:
             raise CorpusFormatError(f"record {self.id!r} has an empty reference")
-        if self.boundaries is not None and len(self.boundaries) != len(self.hyp_words):
-            raise CorpusFormatError(
-                f"record {self.id!r}: {len(self.boundaries)} boundaries for "
-                f"{len(self.hyp_words)} hypothesis words"
-            )
 
 
 def build_vocab(records: Iterable[CorpusRecord]) -> Vocabulary:
@@ -129,7 +123,13 @@ def decode(vocab: Vocabulary, ids: Sequence[int]) -> List[str]:
     return words
 
 
+_FIELDS = {"id", "ref", "hyp"}
+
+
 def _record_from_payload(payload: dict, where: str) -> CorpusRecord:
+    unknown = sorted(payload.keys() - _FIELDS)
+    if unknown:
+        raise CorpusFormatError(f"{where}: unknown fields {unknown}")
     try:
         rec_id = payload["id"]
         ref = payload["ref"]
@@ -140,25 +140,9 @@ def _record_from_payload(payload: dict, where: str) -> CorpusRecord:
     hyp = payload.get("hyp", "")
     if not isinstance(hyp, str):
         raise CorpusFormatError(f"{where}: hyp must be a string")
-    boundaries = payload.get("boundaries")
-    if boundaries is not None:
-        try:
-            boundaries = [(s, e) for s, e in boundaries]
-            # JSON integers only: int() would also take floats, numeric
-            # strings and booleans.
-            integers = set(map(type, chain.from_iterable(boundaries))) <= {int}
-        except (TypeError, ValueError):
-            integers = False
-        if not integers:
-            raise CorpusFormatError(
-                f"{where}: boundaries must be [start, end] integer pairs"
-            )
     try:
         return CorpusRecord(
-            id=rec_id,
-            ref_words=normalize_words(ref),
-            hyp_words=normalize_words(hyp),
-            boundaries=boundaries,
+            id=rec_id, ref_words=normalize_words(ref), hyp_words=normalize_words(hyp)
         )
     except CorpusFormatError as exc:
         raise CorpusFormatError(f"{where}: {exc}") from None

@@ -168,6 +168,20 @@ def test_cross_entropy_loss_rejects_ids_outside_vocabulary(bad):
         )
 
 
+@pytest.mark.parametrize(
+    "target_shape, mask_shape",
+    [((1, 2), (1, 3)), ((1, 3), (1, 2)), ((1, 2), (1, 1))],
+    ids=["mask-longer", "target-longer", "mask-broadcasts"],
+)
+def test_cross_entropy_loss_rejects_mismatched_shapes(target_shape, mask_shape):
+    with pytest.raises(ShapeError):
+        cross_entropy_loss(
+            Tensor(np.zeros((1, 2, 5))),
+            np.zeros(target_shape, dtype=np.int64),
+            np.ones(mask_shape, dtype=bool),
+        )
+
+
 @pytest.mark.parametrize("bad", [-1, 5], ids=["negative", "vocab-size"])
 def test_embedding_rejects_ids_outside_vocabulary(bad):
     emb = Embedding(ParameterStore(), "emb", 5, 4, _tiny_rng())

@@ -159,6 +159,11 @@ def test_cross_entropy_matches_direct_formula():
     assert abs(float(loss.data) - expected) < 1e-9
 
 
+def test_cross_entropy_rejects_weights_that_do_not_fit_targets():
+    with pytest.raises(ShapeError, match="weights"):
+        cross_entropy(Tensor(np.zeros((1, 2, 5))), np.zeros((1, 2)), np.ones((1, 3)))
+
+
 def test_cross_entropy_grad():
     logits = rng.normal(size=(2, 3, 5))
     ids = rng.integers(0, 5, size=(2, 3))

@@ -1,5 +1,6 @@
 """Vocabulary, encode/decode, and corpus reader contracts."""
 
+import json
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -133,13 +134,11 @@ def test_corpus_round_trip(tmp_path):
     path.write_text(
         '{"id": "r0", "ref": "A, b!", "hyp": "a"}\n'
         "\n"
-        '{"hyp": "c d", "id": "r1", "ref": "c", "boundaries": [[0, 4], [4, 8]]}\n'
+        '{"hyp": "c d", "id": "r1", "ref": "c"}\n'
     )
     assert load_corpus(path) == [
         CorpusRecord(id="r0", ref_words=["a", "b"], hyp_words=["a"]),
-        CorpusRecord(
-            id="r1", ref_words=["c"], hyp_words=["c", "d"], boundaries=[(0, 4), (4, 8)]
-        ),
+        CorpusRecord(id="r1", ref_words=["c"], hyp_words=["c", "d"]),
     ]
 
 
@@ -147,13 +146,6 @@ def test_load_corpus_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
     assert load_corpus(path) == []
-
-
-def test_load_corpus_without_boundaries(tmp_path):
-    path = tmp_path / "c.jsonl"
-    path.write_text('{"id": "x", "ref": "a b", "hyp": "a"}\n')
-    (record,) = load_corpus(path)
-    assert record.boundaries is None
 
 
 def test_load_corpus_reports_line_numbers(tmp_path):
@@ -180,6 +172,9 @@ def test_load_corpus_rejects_non_utf8_bytes_with_line(tmp_path):
     assert str(err.value).startswith(f"{path}:2:")
 
 
+# A corpus line carries no boundaries: the malformed spans that the deleted
+# span parser refused, and a span count that does not match the hypothesis,
+# are still refused, now as unknown fields.
 @pytest.mark.parametrize(
     "boundaries",
     ["[[0, 1.9], [2, 3]]", "[[0, 1], [true, 3]]", '[[0, 1], [1, "3"]]', '["01", [1, 3]]'],
@@ -202,14 +197,64 @@ def test_boundary_count_must_match_hyp(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("key", ["boundaries", "frames"])
+def test_load_corpus_rejects_unknown_fields(tmp_path, key):
+    path = tmp_path / "bad.jsonl"
+    spans = [[0, 1], [1, 2]]
+    path.write_text(json.dumps({"id": "x", "ref": "a b", "hyp": "a b", key: spans}))
+    with pytest.raises(CorpusFormatError, match=key) as err:
+        load_corpus(path)
+    assert str(err.value).startswith(f"{path}:1:")
+
+
 def test_empty_reference_rejected():
     with pytest.raises(CorpusFormatError):
         CorpusRecord(id="x", ref_words=[])
 
 
 def test_corpus_record_is_frozen():
-    record = CorpusRecord(id="x", ref_words=["a"], hyp_words=["a"], boundaries=[(0, 2)])
-    with pytest.raises(FrozenInstanceError):
-        record.boundaries = [(0, 2), (2, 4)]
+    record = CorpusRecord(id="x", ref_words=["a"], hyp_words=["a"])
     with pytest.raises(FrozenInstanceError):
         record.hyp_words = ["a", "b"]
+
+
+_TEXT = st.text(alphabet="ab C,'\u00e9", max_size=6)
+_VALUES = st.one_of(
+    _TEXT,
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.lists(st.integers(), max_size=3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.fixed_dictionaries({"id": _TEXT, "ref": _TEXT}, optional={"hyp": _VALUES}),
+        st.dictionaries(
+            st.sampled_from(["id", "ref", "hyp", "boundaries", "frames", "lang", ""]),
+            _VALUES,
+        ),
+    ),
+    st.one_of(st.sampled_from([b"", b"\n", b" \r\n"]), st.binary(max_size=4)),
+)
+def test_load_corpus_fuzzed_line_loads_or_raises_corpus_error(
+    tmp_path_factory, payload, junk
+):
+    path = tmp_path_factory.mktemp("fuzz") / "c.jsonl"
+    path.write_bytes(json.dumps(payload).encode("utf-8") + junk)
+    try:
+        records = load_corpus(path)
+    except CorpusFormatError as exc:
+        assert str(exc).startswith(f"{path}:")
+        return
+    assert set(payload) <= {"id", "ref", "hyp"}
+    assert records == [
+        CorpusRecord(
+            id=payload["id"],
+            ref_words=normalize_words(payload["ref"]),
+            hyp_words=normalize_words(payload.get("hyp", "")),
+        )
+    ]
