@@ -127,9 +127,12 @@ def synth_frames(
 
 
 def validate_boundaries(boundaries: Sequence[Boundary], num_frames: int) -> None:
-    """Spans are non-empty, inside [0, num_frames) and in order without overlap."""
+    """Spans are integer pairs, non-empty, inside [0, num_frames) and in order
+    without overlap."""
     prev_end = 0
     for start, end in boundaries:
+        if as_number(start, int) is None or as_number(end, int) is None:
+            raise AlignmentError(f"boundary ({start!r}, {end!r}) ends must be integers")
         if not (0 <= start < end <= num_frames):
             raise AlignmentError(
                 f"boundary ({start}, {end}) outside frames [0, {num_frames})"
@@ -139,9 +142,17 @@ def validate_boundaries(boundaries: Sequence[Boundary], num_frames: int) -> None
         prev_end = end
 
 
+def _frame_matrix(values, name: str) -> np.ndarray:
+    """``values`` as a float64 (rows, dim) matrix; any other rank is a ShapeError."""
+    matrix = np.asarray(values, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ShapeError(f"{name} must be a 2D (rows, dim) matrix, got {matrix.shape}")
+    return matrix
+
+
 def mean_pool_awe(frames: np.ndarray, boundaries: Sequence[Boundary]) -> np.ndarray:
     """Per-word acoustic vectors: arithmetic mean of each boundary interval."""
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = _frame_matrix(frames, "frames")
     validate_boundaries(boundaries, frames.shape[0])
     if not boundaries:
         return np.zeros((0, frames.shape[1]))
@@ -155,9 +166,9 @@ def fft_resample(frames: np.ndarray, target_len: int) -> np.ndarray:
     images (truncating or zero-padding as needed), then inverse
     transforms and rescales by L/F. L = F reduces to a full copy.
     """
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[0] < 1:
-        raise ShapeError("fft_resample expects a non-empty 2D frame matrix")
+    frames = _frame_matrix(frames, "frames")
+    if frames.shape[0] < 1:
+        raise ShapeError("fft_resample expects at least one frame")
     rows = as_number(target_len, int)
     if rows is None or rows < 1:
         raise ShapeError(f"target_len must be an integer >= 1, got {target_len!r}")
@@ -187,7 +198,7 @@ def pad_dsu(awe: np.ndarray, target_len: int) -> DsuSequence:
     rows = as_number(target_len, int)
     if rows is None or rows < 1:
         raise ShapeError(f"target_len must be an integer >= 1, got {target_len!r}")
-    awe = np.asarray(awe, dtype=np.float64)
+    awe = _frame_matrix(awe, "awe")
     count = awe.shape[0]
     if count > rows:
         raise ShapeError(f"{count} acoustic rows exceed target_len {rows}")

@@ -3,9 +3,11 @@
 Layers own their parameters and compose the primitives of ``nn.tensor``:
 each ``Linear`` is one ``linear`` node, and ``MultiHeadAttention`` is
 four projections around one ``attention`` node, which splits and merges
-the heads itself. All sequence tensors are batched as (batch, length,
-model_dim); masks are boolean ndarrays shaped (batch, length) with True
-on real content.
+the heads itself. ``Encoder`` and ``Decoder`` stack one pre-norm
+``Block``; decoder blocks add a cross-attention to the memory. All
+sequence tensors are batched as (batch, length, model_dim); masks are
+boolean ndarrays shaped (batch, length) with True on real content, and
+only ``attention`` turns them, with the causal rule, into score masks.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from crossaec.errors import DegenerateInputError, ShapeError, VocabularyError
+from crossaec.errors import DegenerateInputError, ShapeError
 from crossaec.nn.config import ModelConfig
 from crossaec.nn.params import ParameterStore
 from crossaec.nn.tensor import (
@@ -45,14 +47,6 @@ def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
     return table
 
 
-def _token_ids(ids, vocab_size: int) -> np.ndarray:
-    """``ids`` as an int64 array, every one checked to lie in [0, vocab_size)."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
-        raise VocabularyError(f"token id outside vocabulary of size {vocab_size}")
-    return ids
-
-
 class Linear:
     def __init__(
         self,
@@ -81,13 +75,12 @@ class Embedding:
         dim: int,
         rng: np.random.Generator,
     ):
-        self.vocab_size = vocab_size
         self.weight = store.create(
             f"{name}.weight", init_uniform(rng, dim, (vocab_size, dim))
         )
 
     def __call__(self, ids: np.ndarray) -> Tensor:
-        return embedding_lookup(self.weight, _token_ids(ids, self.vocab_size))
+        return embedding_lookup(self.weight, ids)
 
 
 class LayerNorm:
@@ -141,107 +134,76 @@ class MultiHeadAttention:
         key_mask: np.ndarray,
         causal: bool = False,
     ) -> Tensor:
-        batch, lq, _ = query_in.data.shape
-        lk = kv_in.data.shape[1]
-        mask = np.asarray(key_mask, dtype=bool)
-        if mask.shape != (batch, lk):
-            raise ShapeError(f"key_mask {mask.shape} is not ({batch}, {lk})")
-        mask = mask[:, None, :]
-        if causal:
-            # Query i sees keys 0..i, as np.tril would give, but cheaper.
-            mask = mask & (np.arange(lk) <= np.arange(lq)[:, None])
         mixed = attention(
             self.q_proj(query_in),
             self.k_proj(kv_in),
             self.v_proj(kv_in),
             self.num_heads,
-            mask,
+            key_mask,
+            causal,
         )
         return self.o_proj(mixed)
 
 
-class EncoderLayer:
+class Block:
+    """Pre-norm block; a decoder block is causal and cross-attends to memory."""
+
+    def __init__(self, store, name, config: ModelConfig, rng, decoder: bool):
+        d, heads = config.model_dim, config.num_heads
+        self.self_norm = LayerNorm(store, f"{name}.self_norm", d)
+        self.self_attn = MultiHeadAttention(store, f"{name}.self_attn", d, heads, rng)
+        self.decoder = decoder
+        if decoder:
+            self.cross_norm = LayerNorm(store, f"{name}.cross_norm", d)
+            self.cross_attn = MultiHeadAttention(
+                store, f"{name}.cross_attn", d, heads, rng
+            )
+        self.ff_norm = LayerNorm(store, f"{name}.ff_norm", d)
+        self.ff = FeedForward(store, f"{name}.ff", d, config.feedforward_dim, rng)
+
+    def __call__(self, x: Tensor, mask: np.ndarray, memory, memory_mask) -> Tensor:
+        normed = self.self_norm(x)
+        x = add(x, self.self_attn(normed, normed, mask, causal=self.decoder))
+        if self.decoder:
+            x = add(x, self.cross_attn(self.cross_norm(x), memory, memory_mask))
+        return add(x, self.ff(self.ff_norm(x)))
+
+
+class _Stack:
+    """Blocks, then a final norm; each subclass sets ``decoder`` for its blocks."""
+
     def __init__(self, store, name, config: ModelConfig, rng):
-        d = config.model_dim
-        self.norm1 = LayerNorm(store, f"{name}.norm1", d)
-        self.self_attn = MultiHeadAttention(
-            store, f"{name}.self_attn", d, config.num_heads, rng
-        )
-        self.norm2 = LayerNorm(store, f"{name}.norm2", d)
-        self.ff = FeedForward(
-            store, f"{name}.ff", d, config.feedforward_dim, rng
-        )
+        count = config.decoder_layers if self.decoder else config.encoder_layers
+        self.blocks = [
+            Block(store, f"{name}.blocks.{i}", config, rng, self.decoder)
+            for i in range(count)
+        ]
+        self.final_norm = LayerNorm(store, f"{name}.final_norm", config.model_dim)
 
-    def __call__(self, x: Tensor, pad_mask: np.ndarray) -> Tensor:
-        normed = self.norm1(x)
-        x = add(x, self.self_attn(normed, normed, key_mask=pad_mask))
-        x = add(x, self.ff(self.norm2(x)))
-        return x
+    def _run(self, x: Tensor, mask, memory=None, memory_mask=None) -> Tensor:
+        for block in self.blocks:
+            x = block(x, mask, memory, memory_mask)
+        return self.final_norm(x)
 
 
-class Encoder:
+class Encoder(_Stack):
     """Pre-norm self-attention stack producing contextual word embeddings."""
 
-    def __init__(self, store, name, config: ModelConfig, rng):
-        self.layers = [
-            EncoderLayer(store, f"{name}.layers.{i}", config, rng)
-            for i in range(config.encoder_layers)
-        ]
-        self.final_norm = LayerNorm(store, f"{name}.final_norm", config.model_dim)
+    decoder = False
 
     def __call__(self, x: Tensor, pad_mask: np.ndarray) -> Tensor:
-        for layer in self.layers:
-            x = layer(x, pad_mask)
-        return self.final_norm(x)
+        return self._run(x, pad_mask)
 
 
-class DecoderLayer:
-    def __init__(self, store, name, config: ModelConfig, rng):
-        d = config.model_dim
-        self.norm1 = LayerNorm(store, f"{name}.norm1", d)
-        self.self_attn = MultiHeadAttention(
-            store, f"{name}.self_attn", d, config.num_heads, rng
-        )
-        self.norm2 = LayerNorm(store, f"{name}.norm2", d)
-        self.cross_attn = MultiHeadAttention(
-            store, f"{name}.cross_attn", d, config.num_heads, rng
-        )
-        self.norm3 = LayerNorm(store, f"{name}.norm3", d)
-        self.ff = FeedForward(
-            store, f"{name}.ff", d, config.feedforward_dim, rng
-        )
-
-    def __call__(
-        self, x: Tensor, self_mask: np.ndarray, memory: Tensor, memory_mask: np.ndarray
-    ) -> Tensor:
-        normed = self.norm1(x)
-        x = add(
-            x, self.self_attn(normed, normed, key_mask=self_mask, causal=True)
-        )
-        x = add(
-            x,
-            self.cross_attn(self.norm2(x), memory, key_mask=memory_mask),
-        )
-        x = add(x, self.ff(self.norm3(x)))
-        return x
-
-
-class Decoder:
+class Decoder(_Stack):
     """Causal decoder stack attending to a fused memory."""
 
-    def __init__(self, store, name, config: ModelConfig, rng):
-        self.layers = [
-            DecoderLayer(store, f"{name}.layers.{i}", config, rng)
-            for i in range(config.decoder_layers)
-        ]
-        self.final_norm = LayerNorm(store, f"{name}.final_norm", config.model_dim)
+    decoder = True
 
     def __call__(
         self, x: Tensor, self_mask: np.ndarray, memory: Tensor, memory_mask: np.ndarray
     ) -> Tensor:
-        for layer in self.layers:
-            x = layer(x, self_mask, memory, memory_mask)
-        return self.final_norm(x)
+        return self._run(x, self_mask, memory, memory_mask)
 
 
 def cross_entropy_loss(
@@ -255,5 +217,4 @@ def cross_entropy_loss(
     if total == 0:
         raise DegenerateInputError("loss over zero unmasked positions")
     weights = mask.astype(np.float64) / total
-    ids = _token_ids(target_ids, logits.data.shape[-1])
-    return cross_entropy(logits, ids, weights)
+    return cross_entropy(logits, target_ids, weights)

@@ -13,7 +13,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from crossaec.errors import DegenerateInputError, ShapeError, StateError
+from crossaec.errors import (
+    DegenerateInputError,
+    ShapeError,
+    StateError,
+    VocabularyError,
+)
 
 _GRAD_ENABLED = True
 
@@ -271,15 +276,16 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
 
 def attention(
-    q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask: np.ndarray
+    q: Tensor, k: Tensor, v: Tensor, num_heads: int, key_mask: np.ndarray, causal=False
 ) -> Tensor:
     """Multi-head ``softmax(q k^T / sqrt(d_h)) v`` as one graph node.
 
     ``q`` is (batch, lq, dim); ``k`` and ``v`` are (batch, lk, dim). Each
     is split into ``num_heads`` heads of width ``d_h = dim / num_heads``,
-    and the heads are merged back into (batch, lq, dim). ``mask`` is a
-    boolean (batch or 1, lq or 1, lk) array, true where a query may
-    attend to a key; masked keys get exactly zero weight.
+    and the heads are merged back into (batch, lq, dim). ``key_mask`` is
+    a boolean (batch, lk) array, true on real keys; with ``causal``,
+    query i also sees only keys 0..i. This is the one place the padding
+    and causal masks are built; masked keys get exactly zero weight.
     """
     if (
         q.data.ndim != 3
@@ -296,16 +302,9 @@ def attention(
     lk = k.data.shape[1]
     if num_heads < 1 or dim % num_heads:
         raise ShapeError(f"dim {dim} does not split into {num_heads} heads")
-    mask = np.asarray(mask, dtype=bool)
-    if (
-        mask.ndim != 3
-        or mask.shape[0] not in (1, batch)
-        or mask.shape[1] not in (1, lq)
-        or mask.shape[2] != lk
-    ):
-        raise ShapeError(
-            f"attention mask {mask.shape} does not fit ({batch}, {lq}, {lk})"
-        )
+    key_mask = np.asarray(key_mask, dtype=bool)
+    if key_mask.shape != (batch, lk):
+        raise ShapeError(f"key_mask {key_mask.shape} is not ({batch}, {lk})")
     dh = dim // num_heads
     factor = 1.0 / math.sqrt(dh)
     # (batch, heads, length, d_h) views of the projected inputs.
@@ -314,7 +313,11 @@ def attention(
     vh = v.data.reshape(batch, lk, num_heads, dh).swapaxes(1, 2)
     logits = qh @ kh.swapaxes(-1, -2)
     logits *= factor
-    probs = _softmax(logits, mask[:, None])
+    mask = key_mask[:, None, None, :]
+    if causal:
+        # Query i sees keys 0..i, as np.tril would give, but cheaper.
+        mask = mask & (np.arange(lk) <= np.arange(lq)[:, None])
+    probs = _softmax(logits, mask)
     out = (probs @ vh).swapaxes(1, 2).reshape(batch, lq, dim)
 
     def merge(gh):
@@ -364,8 +367,17 @@ def layer_norm(x: Tensor, gain: Tensor, offset: Tensor) -> Tensor:
     return _make(data, (x, gain, offset), vjp)
 
 
-def embedding_lookup(weight: Tensor, ids: np.ndarray) -> Tensor:
+def _token_ids(ids, vocab_size: int) -> np.ndarray:
+    """``ids`` as an int64 array, every one checked to lie in [0, vocab_size)."""
     ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        raise VocabularyError(f"token id outside vocabulary of size {vocab_size}")
+    return ids
+
+
+def embedding_lookup(weight: Tensor, ids: np.ndarray) -> Tensor:
+    """Rows of ``weight`` picked by token ids in [0, vocabulary size)."""
+    ids = _token_ids(ids, weight.data.shape[0])
     data = weight.data[ids]
 
     def vjp(g):
@@ -383,9 +395,9 @@ def cross_entropy(
 
     ``weights`` is a constant array broadcastable to ``target_ids``; the
     caller chooses the normalization (per-position mean, per-example
-    mean, ...).
+    mean, ...). Every target id lies in [0, vocabulary size).
     """
-    ids = np.asarray(target_ids, dtype=np.int64)
+    ids = _token_ids(target_ids, logits.data.shape[-1])
     if ids.shape != logits.data.shape[:-1]:
         raise ShapeError(
             f"targets {ids.shape} do not match logits {logits.data.shape}"

@@ -349,6 +349,43 @@ def test_validate_boundaries_out_of_range():
         validate_boundaries([(0, 9)], 8)
 
 
+@pytest.mark.parametrize(
+    "span", [(0, 1.5), (True, 2), (0, "2"), (0, None)], ids=["float", "bool", "str", "none"]
+)
+def test_mean_pool_rejects_non_integer_span_ends(span):
+    with pytest.raises(AlignmentError, match="integers"):
+        mean_pool_awe(np.zeros((4, 2)), [span])
+
+
+def test_mean_pool_takes_numpy_integer_span_ends():
+    frames = np.random.default_rng(3).normal(size=(4, 2))
+    spans = [(np.int64(0), np.int32(2)), (np.uint8(2), np.int64(4))]
+    np.testing.assert_array_equal(
+        mean_pool_awe(frames, spans), mean_pool_awe(frames, [(0, 2), (2, 4)])
+    )
+
+
+# Each function taking a (rows, dim) frame or word-vector matrix, called on
+# ``matrix``.
+MATRIX_SITES = {
+    "mean_pool_awe": lambda matrix: mean_pool_awe(matrix, [(0, 2)]),
+    "pad_dsu": lambda matrix: pad_dsu(matrix, 4),
+    "fft_resample": lambda matrix: fft_resample(matrix, 4),
+}
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 2, 1)], ids=["1d", "3d"])
+@pytest.mark.parametrize("site", sorted(MATRIX_SITES))
+def test_matrix_inputs_must_be_2d(site, shape):
+    with pytest.raises(ShapeError, match="2D"):
+        MATRIX_SITES[site](np.zeros(shape))
+
+
+def test_fft_resample_rejects_zero_frames():
+    with pytest.raises(ShapeError, match="at least one frame"):
+        fft_resample(np.zeros((0, 2)), 4)
+
+
 def _spans_are_valid(spans, num_frames):
     prev_end = 0
     for start, end in spans:

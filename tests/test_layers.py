@@ -17,6 +17,7 @@ from crossaec.nn.gradcheck import gradient_check
 from crossaec.nn.layers import (
     Decoder,
     Embedding,
+    Encoder,
     FeedForward,
     LayerNorm,
     Linear,
@@ -48,9 +49,7 @@ def _attend(q, k, v, key_mask=None):
     """Single-head ``attention`` over 2D (length, d) matrices."""
     lk = len(k)
     mask = np.ones(lk, dtype=bool) if key_mask is None else key_mask
-    out = attention(
-        Tensor(q[None]), Tensor(k[None]), Tensor(v[None]), 1, mask[None, None, :]
-    )
+    out = attention(Tensor(q[None]), Tensor(k[None]), Tensor(v[None]), 1, mask[None])
     return out.data[0]
 
 
@@ -109,7 +108,7 @@ def test_attention_errors():
         _attend(ones((2, 3)), ones((2, 3)), ones((2, 3)), np.ones(3, dtype=bool))
     with pytest.raises(ShapeError):  # heads do not divide dim
         x = Tensor(ones((1, 2, 3)))
-        attention(x, x, x, 2, np.ones((1, 1, 2), dtype=bool))
+        attention(x, x, x, 2, np.ones((1, 2), dtype=bool))
     with pytest.raises(DegenerateInputError):
         _attend(ones((2, 3)), ones((2, 3)), ones((2, 3)), np.array([False, False]))
 
@@ -118,7 +117,7 @@ def test_attention_errors():
 def test_attention_rejects_fewer_than_one_head(heads):
     x = Tensor(np.ones((1, 2, 4)))
     with pytest.raises(ShapeError):
-        attention(x, x, x, heads, np.ones((1, 1, 2), dtype=bool))
+        attention(x, x, x, heads, np.ones((1, 2), dtype=bool))
 
 
 @pytest.mark.parametrize("key_mask", [np.ones(3, bool), np.ones((1, 2), bool)])
@@ -264,6 +263,28 @@ def test_gradcheck_attention():
     assert gradient_check(loss, store) <= 1e-4
 
 
+def test_gradcheck_encoder_then_decoder():
+    config = ModelConfig(
+        model_dim=8, num_heads=2, encoder_layers=2, decoder_layers=2, feedforward_dim=12
+    )
+    store, rng = ParameterStore(), _tiny_rng()
+    encoder = Encoder(store, "enc", config, rng)
+    decoder = Decoder(store, "dec", config, rng)
+    data = np.random.default_rng(16)
+    src = data.normal(size=(2, 5, 8))
+    tgt = data.normal(size=(2, 4, 8))
+    src_mask = np.ones((2, 5), dtype=bool)
+    src_mask[1, 3:] = False
+    tgt_mask = np.ones((2, 4), dtype=bool)
+    tgt_mask[0, 2:] = False
+
+    def loss():
+        memory = encoder(Tensor(src), src_mask)
+        return tensor_sum(tanh(decoder(Tensor(tgt), tgt_mask, memory, src_mask)))
+
+    assert gradient_check(loss, store) <= 1e-4
+
+
 @pytest.mark.parametrize("shape", [(4, 5), (2, 3, 5)])
 @pytest.mark.parametrize("with_bias", [True, False])
 def test_gradcheck_linear_primitive(shape, with_bias):
@@ -293,10 +314,9 @@ def test_gradcheck_attention_primitive_causal_padded_self():
     q, k, v = _attention_inputs(store, rng, 2, 5, 5, 6)
     key_mask = np.ones((2, 5), dtype=bool)
     key_mask[1, 3:] = False
-    mask = key_mask[:, None, :] & np.tril(np.ones((5, 5), dtype=bool))
 
     def loss():
-        return tensor_sum(tanh(attention(q, k, v, 2, mask)))
+        return tensor_sum(tanh(attention(q, k, v, 2, key_mask, causal=True)))
 
     assert gradient_check(loss, store) <= 1e-6
 
@@ -309,7 +329,7 @@ def test_gradcheck_attention_primitive_padded_cross():
     memory_mask[0, 4:] = False
 
     def loss():
-        return tensor_sum(tanh(attention(q, k, v, 2, memory_mask[:, None, :])))
+        return tensor_sum(tanh(attention(q, k, v, 2, memory_mask)))
 
     assert gradient_check(loss, store) <= 1e-6
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from crossaec.errors import DegenerateInputError, ShapeError
+from crossaec.errors import DegenerateInputError, ShapeError, VocabularyError
 from crossaec.nn.tensor import (
     Tensor,
     add,
@@ -164,6 +164,22 @@ def test_cross_entropy_rejects_weights_that_do_not_fit_targets():
         cross_entropy(Tensor(np.zeros((1, 2, 5))), np.zeros((1, 2)), np.ones((1, 3)))
 
 
+_WEIGHT_3X2 = Tensor(np.arange(6.0).reshape(3, 2))
+OUT_OF_VOCABULARY = {
+    "embedding-negative": lambda: embedding_lookup(_WEIGHT_3X2, [[-1]]),
+    "embedding-vocab-size": lambda: embedding_lookup(_WEIGHT_3X2, [[3]]),
+    "cross-entropy-negative": lambda: cross_entropy(
+        Tensor(np.zeros((1, 2, 5))), [[-1, 0]], np.ones((1, 2))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_VOCABULARY))
+def test_primitives_reject_ids_outside_vocabulary(case):
+    with pytest.raises(VocabularyError):
+        OUT_OF_VOCABULARY[case]()
+
+
 def test_cross_entropy_grad():
     logits = rng.normal(size=(2, 3, 5))
     ids = rng.integers(0, 5, size=(2, 3))
@@ -220,6 +236,6 @@ def test_no_grad_blocks_graph():
         outs = [
             mul(t, t),
             linear(seq, t, bias),
-            attention(seq, seq, seq, 2, np.ones((1, 1, 2), dtype=bool)),
+            attention(seq, seq, seq, 2, np.ones((1, 2), dtype=bool)),
         ]
     assert not any(out.requires_grad for out in outs)
