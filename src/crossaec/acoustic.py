@@ -23,7 +23,7 @@ from crossaec.errors import (
     ShapeError,
 )
 from crossaec.nn.tensor import Tensor, linear, tanh
-from crossaec.util import as_number
+from crossaec.util import as_count, as_number
 
 Boundary = Tuple[int, int]
 
@@ -80,16 +80,12 @@ def build_prototypes(
     ``clusters=1`` makes the acoustics carry no word identity at all (the
     uninformative-control construction).
     """
-    dim = as_number(feature_dim, int)
-    if dim is None or dim < 1:
-        raise ShapeError(f"feature_dim must be an integer >= 1, got {feature_dim!r}")
+    dim = as_count(feature_dim, "feature_dim", ShapeError)
     rng = np.random.default_rng(seed)
     if clusters is None:
         vectors = {w: rng.normal(0.0, 1.0, dim) for w in words}
     else:
-        count = as_number(clusters, int)
-        if count is None or count < 1:
-            raise ShapeError(f"clusters must be an integer >= 1, got {clusters!r}")
+        count = as_count(clusters, "clusters", ShapeError)
         centers = rng.normal(0.0, 1.0, (count, dim))
         vectors = {w: centers[i % count].copy() for i, w in enumerate(words)}
     return PrototypeTable(prototypes=vectors, noise_sigma=noise_sigma)
@@ -105,11 +101,7 @@ def synth_frames(
 
     Returns the frame matrix and the exact per-reference-word boundaries.
     """
-    per_word = as_number(frames_per_word, int)
-    if per_word is None or per_word < 1:
-        raise ShapeError(
-            f"frames_per_word must be an integer >= 1, got {frames_per_word!r}"
-        )
+    per_word = as_count(frames_per_word, "frames_per_word", ShapeError)
     missing = [w for w in ref_words if w not in table.prototypes]
     if missing:
         raise CoverageError(f"no prototype for words: {sorted(set(missing))}")
@@ -130,7 +122,11 @@ def validate_boundaries(boundaries: Sequence[Boundary], num_frames: int) -> None
     """Spans are integer pairs, non-empty, inside [0, num_frames) and in order
     without overlap."""
     prev_end = 0
-    for start, end in boundaries:
+    for span in boundaries:
+        try:
+            start, end = span
+        except (TypeError, ValueError):
+            raise AlignmentError(f"boundary {span!r} is not a (start, end) pair") from None
         if as_number(start, int) is None or as_number(end, int) is None:
             raise AlignmentError(f"boundary ({start!r}, {end!r}) ends must be integers")
         if not (0 <= start < end <= num_frames):
@@ -154,7 +150,7 @@ def mean_pool_awe(frames: np.ndarray, boundaries: Sequence[Boundary]) -> np.ndar
     """Per-word acoustic vectors: arithmetic mean of each boundary interval."""
     frames = _frame_matrix(frames, "frames")
     validate_boundaries(boundaries, frames.shape[0])
-    if not boundaries:
+    if len(boundaries) == 0:
         return np.zeros((0, frames.shape[1]))
     return np.stack([frames[s:e].mean(axis=0) for s, e in boundaries])
 
@@ -169,9 +165,7 @@ def fft_resample(frames: np.ndarray, target_len: int) -> np.ndarray:
     frames = _frame_matrix(frames, "frames")
     if frames.shape[0] < 1:
         raise ShapeError("fft_resample expects at least one frame")
-    rows = as_number(target_len, int)
-    if rows is None or rows < 1:
-        raise ShapeError(f"target_len must be an integer >= 1, got {target_len!r}")
+    rows = as_count(target_len, "target_len", ShapeError)
     source_len = frames.shape[0]
     spectrum = np.fft.fft(frames, axis=0)
     kept = min(source_len, rows)
@@ -195,9 +189,7 @@ class DsuSequence(NamedTuple):
 
 def pad_dsu(awe: np.ndarray, target_len: int) -> DsuSequence:
     """Zero-pad word vectors up to the word-embedding length."""
-    rows = as_number(target_len, int)
-    if rows is None or rows < 1:
-        raise ShapeError(f"target_len must be an integer >= 1, got {target_len!r}")
+    rows = as_count(target_len, "target_len", ShapeError)
     awe = _frame_matrix(awe, "awe")
     count = awe.shape[0]
     if count > rows:

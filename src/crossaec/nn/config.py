@@ -6,7 +6,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from crossaec.errors import ConfigurationError
-from crossaec.util import as_number
+from crossaec.util import as_count, as_number
 
 
 @dataclass(frozen=True)
@@ -25,13 +25,8 @@ class ModelConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            raw = getattr(self, f.name)
-            value = as_number(raw, int)
-            if value is None:
-                raise ConfigurationError(f"{f.name} must be an integer, got {raw!r}")
             floor = 0 if f.name == "seed" else 1  # numpy takes no negative seed
-            if value < floor:
-                raise ConfigurationError(f"{f.name} must be >= {floor}, got {value}")
+            value = as_count(getattr(self, f.name), f.name, ConfigurationError, floor)
             object.__setattr__(self, f.name, value)
         if self.model_dim % self.num_heads != 0:
             raise ConfigurationError(

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from crossaec.errors import DegenerateInputError, ShapeError
+from crossaec.errors import DegenerateInputError
 from crossaec.nn.config import ModelConfig
 from crossaec.nn.params import ParameterStore
 from crossaec.nn.tensor import (
@@ -211,8 +211,6 @@ def cross_entropy_loss(
 ) -> Tensor:
     """Mean negative log-likelihood over the unmasked positions."""
     mask = np.asarray(pad_mask, dtype=bool)
-    if mask.shape != logits.data.shape[:-1]:
-        raise ShapeError(f"mask {mask.shape} does not match logits {logits.data.shape}")
     total = int(mask.sum())
     if total == 0:
         raise DegenerateInputError("loss over zero unmasked positions")

@@ -3,8 +3,6 @@ denominator offset ``EPSILON``; only the learning rate is configured."""
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from crossaec.nn.config import OptimizerConfig
@@ -22,8 +20,8 @@ class AdamOptimizer:
         self.store = store
         self.config = config
         self.step_count = 0
-        self._m: Dict[str, np.ndarray] = {}
-        self._v: Dict[str, np.ndarray] = {}
+        self._m = {name: np.zeros_like(p.data) for name, p in store.items()}
+        self._v = {name: np.zeros_like(p.data) for name, p in store.items()}
 
     def step(self) -> None:
         """Apply one update from the gradients currently in the store.
@@ -38,12 +36,7 @@ class AdamOptimizer:
             if param.grad is None:
                 continue
             g = param.grad
-            m = self._m.get(name)
-            if m is None:
-                m = np.zeros_like(param.data)
-                self._m[name] = m
-                self._v[name] = np.zeros_like(param.data)
-            v = self._v[name]
+            m, v = self._m[name], self._v[name]
             m *= BETA1
             m += (1.0 - BETA1) * g
             v *= BETA2

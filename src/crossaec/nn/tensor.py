@@ -13,12 +13,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from crossaec.errors import (
-    DegenerateInputError,
-    ShapeError,
-    StateError,
-    VocabularyError,
-)
+from crossaec.errors import DegenerateInputError, ShapeError, StateError
+from crossaec.util import token_ids
 
 _GRAD_ENABLED = True
 
@@ -367,17 +363,9 @@ def layer_norm(x: Tensor, gain: Tensor, offset: Tensor) -> Tensor:
     return _make(data, (x, gain, offset), vjp)
 
 
-def _token_ids(ids, vocab_size: int) -> np.ndarray:
-    """``ids`` as an int64 array, every one checked to lie in [0, vocab_size)."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
-        raise VocabularyError(f"token id outside vocabulary of size {vocab_size}")
-    return ids
-
-
 def embedding_lookup(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Rows of ``weight`` picked by token ids in [0, vocabulary size)."""
-    ids = _token_ids(ids, weight.data.shape[0])
+    ids = token_ids(ids, weight.data.shape[0])
     data = weight.data[ids]
 
     def vjp(g):
@@ -393,21 +381,18 @@ def cross_entropy(
 ) -> Tensor:
     """Weighted negative log-likelihood, summed into a scalar.
 
-    ``weights`` is a constant array broadcastable to ``target_ids``; the
+    ``weights`` is a constant array of the shape of ``target_ids``; the
     caller chooses the normalization (per-position mean, per-example
     mean, ...). Every target id lies in [0, vocabulary size).
     """
-    ids = _token_ids(target_ids, logits.data.shape[-1])
+    ids = token_ids(target_ids, logits.data.shape[-1])
     if ids.shape != logits.data.shape[:-1]:
         raise ShapeError(
             f"targets {ids.shape} do not match logits {logits.data.shape}"
         )
-    try:
-        w = np.broadcast_to(np.asarray(weights, dtype=np.float64), ids.shape)
-    except ValueError:
-        raise ShapeError(
-            f"weights {np.shape(weights)} do not fit targets {ids.shape}"
-        ) from None
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != ids.shape:
+        raise ShapeError(f"weights {w.shape} do not match targets {ids.shape}")
     x = logits.data
     mx = x.max(axis=-1, keepdims=True)
     expd = x - mx

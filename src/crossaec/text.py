@@ -25,6 +25,7 @@ from crossaec.errors import (
     SequenceLengthError,
     VocabularyError,
 )
+from crossaec.util import token_ids
 
 PAD_ID = 0
 BOS_ID = 1
@@ -57,9 +58,7 @@ class Vocabulary:
         return self._word_to_id.get(word, UNK_ID)
 
     def word_of(self, idx: int) -> str:
-        if not 0 <= idx < len(self._id_to_word):
-            raise VocabularyError(f"id {idx} outside vocabulary of size {len(self)}")
-        return self._id_to_word[idx]
+        return self._id_to_word[int(token_ids(idx, len(self)))]
 
     def to_list(self) -> List[str]:
         return list(self._id_to_word)
@@ -115,12 +114,8 @@ def encode(
 
 def decode(vocab: Vocabulary, ids: Sequence[int]) -> List[str]:
     """Ids back to words, stripping PAD/BOS/EOS; UNK renders as a sentinel."""
-    words = []
-    for idx in ids:
-        if idx in (PAD_ID, BOS_ID, EOS_ID):
-            continue
-        words.append(vocab.word_of(int(idx)))
-    return words
+    stripped = {SPECIALS[i] for i in (PAD_ID, BOS_ID, EOS_ID)}
+    return [w for w in map(vocab.word_of, ids) if w not in stripped]
 
 
 _FIELDS = {"id", "ref", "hyp"}

@@ -1,4 +1,7 @@
-"""Small shared helpers: the number rule, seed derivation, canonical JSON hashing."""
+"""Small shared helpers: the argument rules, seed derivation, canonical JSON
+hashing. Each rule has one implementation: ``as_number`` (which values are
+ints or floats), ``as_count`` (an int >= a floor, else the caller's error)
+and ``token_ids`` (integer ids inside the vocabulary)."""
 
 from __future__ import annotations
 
@@ -6,6 +9,8 @@ import hashlib
 import json
 
 import numpy as np
+
+from crossaec.errors import VocabularyError
 
 
 def as_number(value, kind: type) -> int | float | None:
@@ -17,6 +22,27 @@ def as_number(value, kind: type) -> int | float | None:
     if kind is float and isinstance(value, (float, np.floating)):
         return float(value)
     return None
+
+
+def as_count(value, name: str, error: type, floor: int = 1) -> int:
+    """``value`` as a plain int >= ``floor``; anything else raises ``error``."""
+    count = as_number(value, int)
+    if count is None or count < floor:
+        raise error(f"{name} must be an integer >= {floor}, got {value!r}")
+    return count
+
+
+def token_ids(ids, vocab_size: int) -> np.ndarray:
+    """``ids`` as an int64 array of integers in [0, vocab_size); a float or
+    bool id, or one outside that range, is a VocabularyError naming it."""
+    array = np.asarray(ids)
+    if array.size and not np.issubdtype(array.dtype, np.integer):
+        bad = array.ravel()[:1].tolist()[0]
+        raise VocabularyError(f"token ids must be integers, got {bad!r}")
+    if array.size and (array.min() < 0 or array.max() >= vocab_size):
+        bad = array[(array < 0) | (array >= vocab_size)][0]
+        raise VocabularyError(f"id {bad} outside vocabulary of size {vocab_size}")
+    return array.astype(np.int64, copy=False)
 
 
 def derive_seed(*parts) -> int:

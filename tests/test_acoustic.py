@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossaec.errors import (
@@ -395,14 +395,28 @@ def _spans_are_valid(spans, num_frames):
     return True
 
 
+_NOT_A_PAIR = st.one_of(
+    st.integers(0, 4), st.tuples(st.integers(0, 4)), st.tuples(*[st.integers(0, 4)] * 3)
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, 12),
     st.lists(st.tuples(st.integers(-2, 14), st.integers(-2, 14)), max_size=6),
+    st.sampled_from(["list", "array", "not-a-pair"]),
+    _NOT_A_PAIR,
 )
-def test_mean_pool_fails_exactly_on_bad_spans(num_frames, spans):
+# Random draws seldom give valid non-empty spans, so two are pinned.
+@example(5, [(0, 2), (3, 5)], "list", 0)
+@example(5, [(0, 2), (3, 5)], "array", 0)
+def test_mean_pool_fails_exactly_on_bad_spans(num_frames, spans, form, not_a_pair):
     frames = np.random.default_rng(num_frames).normal(size=(num_frames, 3))
-    if not _spans_are_valid(spans, num_frames):
+    if form == "array":
+        spans = np.array(spans, dtype=np.int64).reshape(-1, 2)
+    elif form == "not-a-pair":
+        spans = [not_a_pair] + spans
+    if form == "not-a-pair" or not _spans_are_valid(spans, num_frames):
         with pytest.raises(AlignmentError):
             mean_pool_awe(frames, spans)
         return

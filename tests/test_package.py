@@ -1,16 +1,20 @@
 """Package-wide checks: no module imports a name it never uses (so nothing is
 re-exported, and every name has one import path) or defines a private name it
-never reads, only ``util`` writes the bool rule, and ``derive_seed`` is
-stable."""
+never reads, only ``util`` writes the bool rule, every count argument fails
+with the count rule's message, and ``derive_seed`` is stable."""
 
 import ast
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import crossaec
+from crossaec.acoustic import build_prototypes, fft_resample, pad_dsu, synth_frames
+from crossaec.errors import ConfigurationError, ShapeError
+from crossaec.nn.config import ModelConfig
 from crossaec.util import as_number, derive_seed
 
 PACKAGE = Path(crossaec.__file__).parent
@@ -87,6 +91,38 @@ def test_only_util_writes_the_bool_rule():
         if (lines := _bool_checks(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert set(found) <= {"crossaec/util.py"}, found
+
+
+_TABLE = build_prototypes(["a"], 2, 0.1, seed=0)
+
+# Each count argument, keyed by its name (after its owner's, where two share
+# one): (error type, floor, a call passing the value to that argument).
+COUNT_SITES = {
+    "feature_dim": (ShapeError, 1, lambda n: build_prototypes(["a"], n, 0.1, seed=0)),
+    "clusters": (ShapeError, 1, lambda n: build_prototypes(["a"], 2, 0.1, 0, clusters=n)),
+    "frames_per_word": (ShapeError, 1, lambda n: synth_frames(["a"], _TABLE, n, 0)),
+    "fft_resample.target_len": (ShapeError, 1, lambda n: fft_resample(np.ones((3, 2)), n)),
+    "pad_dsu.target_len": (ShapeError, 1, lambda n: pad_dsu(np.ones((1, 2)), n)),
+    **{
+        f"ModelConfig.{f.name}": (
+            ConfigurationError,
+            0 if f.name == "seed" else 1,
+            lambda n, name=f.name: ModelConfig(**{name: n}),
+        )
+        for f in fields(ModelConfig)
+    },
+}
+
+
+@pytest.mark.parametrize("bad", ["bool", "float", "str", "below-floor"])
+@pytest.mark.parametrize("site", sorted(COUNT_SITES))
+def test_count_arguments_fail_with_the_count_rule_message(site, bad):
+    error, floor, call = COUNT_SITES[site]
+    value = {"bool": True, "float": 2.5, "str": "2", "below-floor": floor - 1}[bad]
+    with pytest.raises(error) as caught:
+        call(value)
+    name = site.split(".")[-1]
+    assert str(caught.value) == f"{name} must be an integer >= {floor}, got {value!r}"
 
 
 @pytest.mark.parametrize(

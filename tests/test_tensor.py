@@ -161,15 +161,25 @@ def test_cross_entropy_matches_direct_formula():
 
 def test_cross_entropy_rejects_weights_that_do_not_fit_targets():
     with pytest.raises(ShapeError, match="weights"):
-        cross_entropy(Tensor(np.zeros((1, 2, 5))), np.zeros((1, 2)), np.ones((1, 3)))
+        cross_entropy(
+            Tensor(np.zeros((1, 2, 5))), np.zeros((1, 2), dtype=np.int64), np.ones((1, 3))
+        )
 
 
 _WEIGHT_3X2 = Tensor(np.arange(6.0).reshape(3, 2))
 OUT_OF_VOCABULARY = {
     "embedding-negative": lambda: embedding_lookup(_WEIGHT_3X2, [[-1]]),
     "embedding-vocab-size": lambda: embedding_lookup(_WEIGHT_3X2, [[3]]),
+    "embedding-float": lambda: embedding_lookup(_WEIGHT_3X2, [[1.7]]),
+    "embedding-bool": lambda: embedding_lookup(_WEIGHT_3X2, [[True]]),
     "cross-entropy-negative": lambda: cross_entropy(
         Tensor(np.zeros((1, 2, 5))), [[-1, 0]], np.ones((1, 2))
+    ),
+    "cross-entropy-float": lambda: cross_entropy(
+        Tensor(np.zeros((1, 2, 5))), [[0.5, 1.9]], np.ones((1, 2))
+    ),
+    "cross-entropy-bool": lambda: cross_entropy(
+        Tensor(np.zeros((1, 2, 5))), [[True, False]], np.ones((1, 2))
     ),
 }
 
@@ -178,6 +188,10 @@ OUT_OF_VOCABULARY = {
 def test_primitives_reject_ids_outside_vocabulary(case):
     with pytest.raises(VocabularyError):
         OUT_OF_VOCABULARY[case]()
+
+
+def test_embedding_of_no_ids_is_empty():
+    assert embedding_lookup(_WEIGHT_3X2, np.zeros((1, 0))).data.shape == (1, 0, 2)
 
 
 def test_cross_entropy_grad():

@@ -1,8 +1,10 @@
 """Vocabulary, encode/decode, and corpus reader contracts."""
 
 import json
+import re
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +40,18 @@ def test_specials_occupy_fixed_ids():
     assert (PAD_ID, BOS_ID, EOS_ID, UNK_ID) == (0, 1, 2, 3)
     assert vocab.word_of(UNK_ID) == "<unk>"
     assert len(vocab) >= 4
+
+
+@pytest.mark.parametrize("bad", [-1, 6, True, 2.5], ids=["negative", "size", "bool", "float"])
+def test_word_of_rejects_ids_that_are_not_in_range_integers(bad):
+    vocab = Vocabulary(["a", "b"])
+    with pytest.raises(VocabularyError, match=re.escape(repr(bad))):
+        vocab.word_of(bad)
+
+
+def test_word_of_takes_numpy_integers():
+    vocab = Vocabulary(["a", "b"])
+    assert [vocab.word_of(t(4)) for t in (np.int64, np.int32, np.uint8)] == ["a"] * 3
 
 
 def test_vocabulary_list_round_trip():
@@ -114,6 +128,13 @@ def test_decode_out_of_range_rejected():
     vocab = build_vocab(_records("a"))
     with pytest.raises(VocabularyError):
         decode(vocab, [len(vocab)])
+
+
+@pytest.mark.parametrize("bad", [True, 2.0], ids=["bool", "float"])
+def test_decode_rejects_ids_that_are_not_integers(bad):
+    # True would read as BOS_ID and 2.0 as EOS_ID, and both be dropped.
+    with pytest.raises(VocabularyError, match=re.escape(repr(bad))):
+        decode(build_vocab(_records("a")), [4, bad])
 
 
 @settings(max_examples=60, deadline=None)
