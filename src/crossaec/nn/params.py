@@ -29,9 +29,6 @@ class ParameterStore:
         self._params[name] = t
         return t
 
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
     def items(self) -> Iterator[Tuple[str, Tensor]]:
         return iter(self._params.items())
 
@@ -60,9 +57,14 @@ class ParameterStore:
         for name, value in state.items():
             t = self._params[name]
             try:
-                value = np.array(value, dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ShapeError(f"value for {name} is not numeric") from None
+                value = np.asarray(value)
+                # Integers and floats only: numpy would also read "1.5" and True.
+                numeric = value.dtype.kind in "iuf"
+            except ValueError:  # a ragged nested list
+                numeric = False
+            if not numeric:
+                raise ShapeError(f"value for {name} is not numeric")
+            value = value.astype(np.float64)
             if value.shape != t.data.shape:
                 raise ShapeError(
                     f"shape mismatch for {name}: {value.shape} vs {t.data.shape}"

@@ -3,6 +3,11 @@
 Every primitive stores a vector-Jacobian closure; ``Tensor.backward``
 replays them in reverse topological order. All math is 64-bit: the
 finite-difference acceptance gate depends on it.
+
+The module holds only the ops the corrector runs: ``add``, ``relu``,
+``tanh``, ``linear``, ``attention`` (the one softmax), ``layer_norm``,
+``embedding_lookup`` and ``cross_entropy``, plus ``tensor_sum``, the
+scalar reduction the gradient checks build their losses from.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from crossaec.errors import DegenerateInputError, ShapeError, StateError
-from crossaec.util import token_ids
+from crossaec.util import as_count, token_ids
 
 _GRAD_ENABLED = True
 
@@ -120,60 +125,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), vjp)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-
-    def vjp(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, (a, b), vjp)
-
-
-def scale(a: Tensor, factor: float) -> Tensor:
-    data = a.data * factor
-
-    def vjp(g):
-        _accumulate(a, g * factor)
-
-    return _make(data, (a,), vjp)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(
-            f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}"
-        )
-    data = np.matmul(a.data, b.data)
-
-    def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accumulate(a, _unbroadcast(ga, a.data.shape))
-        _accumulate(b, _unbroadcast(gb, b.data.shape))
-
-    return _make(data, (a, b), vjp)
-
-
-def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
-    data = np.swapaxes(a.data, axis1, axis2)
-
-    def vjp(g):
-        _accumulate(a, np.swapaxes(g, axis1, axis2))
-
-    return _make(data, (a,), vjp)
-
-
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    orig = a.data.shape
-    data = np.ascontiguousarray(a.data).reshape(shape)
-
-    def vjp(g):
-        _accumulate(a, np.ascontiguousarray(g).reshape(orig))
-
-    return _make(data, (a,), vjp)
-
-
 def relu(a: Tensor) -> Tensor:
     keep = a.data > 0
     data = np.where(keep, a.data, 0.0)
@@ -200,41 +151,6 @@ def tensor_sum(a: Tensor) -> Tensor:
         _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
     return _make(data, (a,), vjp)
-
-
-def _softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The kernel of ``masked_softmax`` and ``attention``: softmax along
-    the last axis where ``mask`` is true. ``mask`` has as many axes as
-    ``logits`` and broadcasts to it."""
-    # Broadcasting repeats rows, so checking the unbroadcast mask suffices.
-    if not mask.any(axis=-1).all():
-        raise DegenerateInputError("softmax row with every position masked")
-    # Masked entries become -inf, and exp(-inf) is exactly 0.
-    probs = np.where(mask, logits, -np.inf)
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return probs
-
-
-def _softmax_vjp(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
-    inner = (g * probs).sum(axis=-1, keepdims=True)
-    return probs * (g - inner)
-
-
-def masked_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
-    """Softmax over the last axis, at the positions where ``mask`` is true.
-
-    Masked positions get exactly zero weight. A row with no allowed
-    position is a degenerate input and is rejected.
-    """
-    m = np.broadcast_to(np.asarray(mask, dtype=bool), logits.data.shape)
-    probs = _softmax(logits.data, m)
-
-    def vjp(g):
-        _accumulate(logits, _softmax_vjp(probs, g))
-
-    return _make(probs, (logits,), vjp)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -296,7 +212,8 @@ def attention(
         )
     batch, lq, dim = q.data.shape
     lk = k.data.shape[1]
-    if num_heads < 1 or dim % num_heads:
+    num_heads = as_count(num_heads, "num_heads", ShapeError)
+    if dim % num_heads:
         raise ShapeError(f"dim {dim} does not split into {num_heads} heads")
     key_mask = np.asarray(key_mask, dtype=bool)
     if key_mask.shape != (batch, lk):
@@ -313,7 +230,14 @@ def attention(
     if causal:
         # Query i sees keys 0..i, as np.tril would give, but cheaper.
         mask = mask & (np.arange(lk) <= np.arange(lq)[:, None])
-    probs = _softmax(logits, mask)
+    # Broadcasting repeats rows, so checking the unbroadcast mask suffices.
+    if not mask.any(axis=-1).all():
+        raise DegenerateInputError("attention query with every key masked")
+    # Masked keys become -inf, and exp(-inf) is exactly 0.
+    probs = np.where(mask, logits, -np.inf)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     out = (probs @ vh).swapaxes(1, 2).reshape(batch, lq, dim)
 
     def merge(gh):
@@ -323,7 +247,8 @@ def attention(
         gh = g.reshape(batch, lq, num_heads, dh).swapaxes(1, 2)
         if v.requires_grad:
             _accumulate(v, merge(probs.swapaxes(-1, -2) @ gh))
-        glogits = _softmax_vjp(probs, gh @ vh.swapaxes(-1, -2))
+        gprobs = gh @ vh.swapaxes(-1, -2)
+        glogits = probs * (gprobs - (gprobs * probs).sum(axis=-1, keepdims=True))
         glogits *= factor
         if q.requires_grad:
             _accumulate(q, merge(glogits @ kh))

@@ -1,7 +1,8 @@
 """Package-wide checks: no module imports a name it never uses (so nothing is
 re-exported, and every name has one import path) or defines a private name it
-never reads, only ``util`` writes the bool rule, every count argument fails
-with the count rule's message, and ``derive_seed`` is stable."""
+never reads, every public op of ``nn.tensor`` has a caller outside the tests,
+only ``util`` writes the bool rule, every count argument fails with the count
+rule's message, and ``derive_seed`` is stable."""
 
 import ast
 import json
@@ -15,10 +16,12 @@ import crossaec
 from crossaec.acoustic import build_prototypes, fft_resample, pad_dsu, synth_frames
 from crossaec.errors import ConfigurationError, ShapeError
 from crossaec.nn.config import ModelConfig
+from crossaec.nn.tensor import Tensor, attention
 from crossaec.util import as_number, derive_seed
 
 PACKAGE = Path(crossaec.__file__).parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
+BENCHMARK = sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -70,6 +73,44 @@ def test_no_dead_private_names(path):
     assert _dead_private_names(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
+def _names_taken_from_tensor(tree: ast.Module) -> set[str]:
+    """Names a module imports from ``crossaec.nn.tensor`` or reads as
+    attributes of the module it imports as ``from crossaec.nn import tensor``."""
+    taken, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "crossaec.nn.tensor":
+            taken.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "crossaec.nn":
+            aliases.update(a.asname or a.name for a in node.names if a.name == "tensor")
+    taken.update(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+    )
+    return taken
+
+
+def test_every_public_tensor_op_has_a_caller():
+    # ``nn.tensor`` holds only the ops a program runs: each public function or
+    # class is used by another package module or by the benchmark. The one
+    # exception is ``tensor_sum``: no program needs a sum of every entry (the
+    # loss, ``cross_entropy``, is already a scalar), but every gradient test
+    # builds its scalar loss from it.
+    tensor_path = PACKAGE / "nn" / "tensor.py"
+    public = {
+        node.name
+        for node in ast.parse(tensor_path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    used = set()
+    for path in [p for p in SOURCES if p != tensor_path] + BENCHMARK:
+        used |= _names_taken_from_tensor(ast.parse(path.read_text(encoding="utf-8")))
+    assert BENCHMARK, "the benchmark files were not found"
+    assert sorted(public - used - {"tensor_sum"}) == []
+
+
 def _bool_checks(tree: ast.Module) -> list[int]:
     """Lines of every ``isinstance(x, ...)`` call whose types name ``bool``."""
     return [
@@ -94,6 +135,7 @@ def test_only_util_writes_the_bool_rule():
 
 
 _TABLE = build_prototypes(["a"], 2, 0.1, seed=0)
+_SEQ = Tensor(np.ones((1, 2, 4)))
 
 # Each count argument, keyed by its name (after its owner's, where two share
 # one): (error type, floor, a call passing the value to that argument).
@@ -103,6 +145,11 @@ COUNT_SITES = {
     "frames_per_word": (ShapeError, 1, lambda n: synth_frames(["a"], _TABLE, n, 0)),
     "fft_resample.target_len": (ShapeError, 1, lambda n: fft_resample(np.ones((3, 2)), n)),
     "pad_dsu.target_len": (ShapeError, 1, lambda n: pad_dsu(np.ones((1, 2)), n)),
+    "attention.num_heads": (
+        ShapeError,
+        1,
+        lambda n: attention(_SEQ, _SEQ, _SEQ, n, np.ones((1, 2), dtype=bool)),
+    ),
     **{
         f"ModelConfig.{f.name}": (
             ConfigurationError,

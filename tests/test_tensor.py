@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from crossaec.errors import DegenerateInputError, ShapeError, VocabularyError
+from crossaec.errors import ShapeError, VocabularyError
 from crossaec.nn.tensor import (
     Tensor,
     add,
@@ -14,14 +14,8 @@ from crossaec.nn.tensor import (
     embedding_lookup,
     layer_norm,
     linear,
-    masked_softmax,
-    matmul,
-    mul,
     no_grad,
     relu,
-    reshape,
-    scale,
-    swapaxes,
     tanh,
     tensor_sum,
 )
@@ -44,7 +38,8 @@ def numeric_grad(f, x, h=1e-6):
 
 
 def check_op(build_loss, *arrays, tol=1e-6):
-    """Compare analytic grads of build_loss(*tensors) to finite differences."""
+    """Compare analytic grads of build_loss(*tensors) to finite differences
+    at every coordinate; return the tensors, which hold the analytic grads."""
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
     loss = build_loss(*tensors)
     loss.backward()
@@ -52,6 +47,7 @@ def check_op(build_loss, *arrays, tol=1e-6):
         num = numeric_grad(lambda: float(build_loss(*[Tensor(x.data) for x in tensors]).data), a)
         assert t.grad is not None
         np.testing.assert_allclose(t.grad, num, rtol=tol, atol=tol)
+    return tensors
 
 
 rng = np.random.default_rng(7)
@@ -60,74 +56,42 @@ rng = np.random.default_rng(7)
 def test_add_broadcast_grad():
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4,))
-    check_op(lambda x, y: tensor_sum(mul(add(x, y), add(x, y))), a, b)
-
-
-def test_matmul_grad():
-    a = rng.normal(size=(3, 4))
-    b = rng.normal(size=(4, 2))
-    check_op(lambda x, y: tensor_sum(tanh(matmul(x, y))), a, b)
-
-
-def test_matmul_batched_grad():
-    a = rng.normal(size=(2, 3, 4))
-    b = rng.normal(size=(2, 4, 3))
-    check_op(lambda x, y: tensor_sum(matmul(x, y)), a, b)
-
-
-def test_matmul_broadcast_batch_grad():
-    a = rng.normal(size=(2, 5, 3, 4))
-    b = rng.normal(size=(4, 3))
-    check_op(lambda x, y: tensor_sum(tanh(matmul(x, y))), a, b)
-
-
-def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
-        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-
-
-def test_reshape_swapaxes_grad():
-    a = rng.normal(size=(2, 3, 4))
-    check_op(
-        lambda x: tensor_sum(tanh(reshape(swapaxes(x, 0, 2), (4, 6)))), a
-    )
+    check_op(lambda x, y: tensor_sum(tanh(add(x, y))), a, b)
 
 
 def test_relu_grad():
     a = rng.normal(size=(5, 5))
-    check_op(lambda x: tensor_sum(mul(relu(x), relu(x))), a)
+    check_op(lambda x: tensor_sum(tanh(relu(x))), a)
 
 
-def test_masked_softmax_rows_sum_to_one():
-    logits = Tensor(rng.normal(size=(6, 9)))
-    mask = rng.random((6, 9)) > 0.3
-    mask[:, 0] = True
-    probs = masked_softmax(logits, mask).data
-    np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
-    assert (probs[~mask] == 0.0).all()
-
-
-def test_masked_softmax_large_logits_stay_finite():
-    logits = Tensor(np.array([[1000.0, 999.0, -1000.0]]))
-    probs = masked_softmax(logits, np.array([[True, True, False]])).data
+def test_attention_large_logits_stay_finite():
+    # One head of width 1, so the logits are exactly q * k = [1000, 999, -1000];
+    # batch row b reads the weight of key b through the one-hot values e_b.
+    q = np.ones((3, 1, 1))
+    k = np.tile([[1000.0], [999.0], [-1000.0]], (3, 1, 1))
+    v = np.eye(3)[:, :, None]
+    mask = np.tile([True, True, False], (3, 1))
+    probs = attention(Tensor(q), Tensor(k), Tensor(v), 1, mask).data.reshape(3)
     e = math.exp(-1.0)
-    np.testing.assert_allclose(probs, [[1 / (1 + e), e / (1 + e), 0.0]], atol=1e-15)
+    np.testing.assert_allclose(probs, [1 / (1 + e), e / (1 + e), 0.0], rtol=0, atol=1e-15)
 
 
-def test_masked_softmax_grad():
-    a = rng.normal(size=(4, 6))
-    mask = rng.random((4, 6)) > 0.4
-    mask[:, 2] = True
+@pytest.mark.parametrize(
+    "lq, lk, dim, causal", [(5, 5, 6, True), (3, 6, 4, False)], ids=["causal-self", "cross"]
+)
+def test_attention_grad_every_coordinate(lq, lk, dim, causal):
+    q = rng.normal(size=(2, lq, dim))
+    k = rng.normal(size=(2, lk, dim))
+    v = rng.normal(size=(2, lk, dim))
+    key_mask = np.ones((2, lk), dtype=bool)
+    key_mask[1, 3:] = False
 
-    def loss(x):
-        return tensor_sum(mul(masked_softmax(x, mask), Tensor(np.arange(24.0).reshape(4, 6))))
+    def loss(*qkv):
+        return tensor_sum(tanh(attention(*qkv, 2, key_mask, causal)))
 
-    check_op(loss, a)
-
-
-def test_masked_softmax_all_masked_rejected():
-    with pytest.raises(DegenerateInputError):
-        masked_softmax(Tensor(np.zeros((2, 3))), np.zeros((2, 3), dtype=bool))
+    _, k_t, v_t = check_op(loss, q, k, v)
+    # Masked keys take no part in the output, so their gradients are exactly 0.
+    assert (k_t.grad[~key_mask] == 0.0).all() and (v_t.grad[~key_mask] == 0.0).all()
 
 
 def test_layer_norm_grad():
@@ -204,7 +168,7 @@ def test_cross_entropy_grad():
 def test_gradient_zero_for_unused_parameter():
     used = Tensor(np.ones((2, 2)), requires_grad=True)
     unused = Tensor(np.ones((2, 2)), requires_grad=True)
-    loss = tensor_sum(mul(used, used))
+    loss = tensor_sum(tanh(used))
     loss.backward()
     assert unused.grad is None
     assert used.grad is not None
@@ -213,21 +177,21 @@ def test_gradient_zero_for_unused_parameter():
 def test_backward_linearity():
     a = rng.normal(size=(3, 3))
     t1 = Tensor(a, requires_grad=True)
-    loss1 = tensor_sum(mul(t1, t1))
+    loss1 = tensor_sum(tanh(t1))
     loss1.backward()
     g1 = t1.grad.copy()
 
     t2 = Tensor(a, requires_grad=True)
-    loss2 = scale(tensor_sum(mul(t2, t2)), 2.0)
-    loss2.backward()
+    s2 = tensor_sum(tanh(t2))
+    add(s2, s2).backward()
     np.testing.assert_allclose(t2.grad, 2.0 * g1, rtol=0, atol=0)
 
 
 def test_grad_accumulates_across_reuse():
     t = Tensor(np.array([[2.0]]), requires_grad=True)
-    loss = tensor_sum(add(mul(t, t), t))
+    loss = tensor_sum(add(add(t, t), t))
     loss.backward()
-    np.testing.assert_allclose(t.grad, [[5.0]])
+    np.testing.assert_array_equal(t.grad, [[3.0]])
 
 
 def test_second_backward_adds_exactly_one_more_gradient():
@@ -235,7 +199,7 @@ def test_second_backward_adds_exactly_one_more_gradient():
     # replayed by the second, giving 3-4x the leaf gradient instead of 2x.
     a = rng.normal(size=(3, 3))
     t = Tensor(a, requires_grad=True)
-    loss = tensor_sum(scale(tanh(mul(t, t)), 0.5))
+    loss = tensor_sum(tanh(add(tanh(t), Tensor(a))))
     loss.backward()
     once = t.grad.copy()
     loss.backward()
@@ -248,7 +212,7 @@ def test_no_grad_blocks_graph():
     seq = Tensor(np.ones((1, 2, 2)), requires_grad=True)
     with no_grad():
         outs = [
-            mul(t, t),
+            add(t, t),
             linear(seq, t, bias),
             attention(seq, seq, seq, 2, np.ones((1, 2), dtype=bool)),
         ]
