@@ -6,7 +6,10 @@ Frames are made in memory from a ``PrototypeTable`` and a seed and never
 touch disk, so the table is where non-finite values are rejected.
 Word-level acoustic vectors are means over boundary intervals, and
 ``mean_pool_awe`` is where those intervals are checked against the
-frames; the continuous baselines are Fourier-resampled frame sequences.
+frames. It pools every span of an utterance with one gather and adds
+each span's frames in frame order, so a span's vector is the same
+whatever other spans share the call. The continuous baselines are
+Fourier-resampled frame sequences.
 """
 
 from __future__ import annotations
@@ -118,24 +121,29 @@ def synth_frames(
     return frames, boundaries
 
 
-def validate_boundaries(boundaries: Sequence[Boundary], num_frames: int) -> None:
+def validate_boundaries(boundaries: Sequence[Boundary], num_frames: int) -> np.ndarray:
     """Spans are integer pairs, non-empty, inside [0, num_frames) and in order
-    without overlap."""
+    without overlap; returns them as an (n, 2) int64 array."""
+    checked = []  # start, end, start, end, ... as plain ints
     prev_end = 0
     for span in boundaries:
         try:
             start, end = span
         except (TypeError, ValueError):
             raise AlignmentError(f"boundary {span!r} is not a (start, end) pair") from None
-        if as_number(start, int) is None or as_number(end, int) is None:
+        plain = as_number(start, int), as_number(end, int)
+        if None in plain:
             raise AlignmentError(f"boundary ({start!r}, {end!r}) ends must be integers")
+        start, end = plain
         if not (0 <= start < end <= num_frames):
             raise AlignmentError(
                 f"boundary ({start}, {end}) outside frames [0, {num_frames})"
             )
         if start < prev_end:
             raise AlignmentError(f"boundary ({start}, {end}) overlaps previous span")
+        checked += plain
         prev_end = end
+    return np.array(checked, dtype=np.int64).reshape(-1, 2)
 
 
 def _frame_matrix(values, name: str) -> np.ndarray:
@@ -147,12 +155,31 @@ def _frame_matrix(values, name: str) -> np.ndarray:
 
 
 def mean_pool_awe(frames: np.ndarray, boundaries: Sequence[Boundary]) -> np.ndarray:
-    """Per-word acoustic vectors: arithmetic mean of each boundary interval."""
+    """Per-word acoustic vectors: arithmetic mean of each boundary interval.
+
+    One gather reads a (longest span, words, dim) block: slot i of a word
+    is its span's frame ``start + i``, or a -0.0 row past the span's end.
+    The block's rows are added in frame order, so each word's sum is the
+    loop ``frames[start] + frames[start + 1] + ...`` (adding -0.0 changes
+    no float), and then divided by the span length.
+    """
     frames = _frame_matrix(frames, "frames")
-    validate_boundaries(boundaries, frames.shape[0])
-    if len(boundaries) == 0:
-        return np.zeros((0, frames.shape[1]))
-    return np.stack([frames[s:e].mean(axis=0) for s, e in boundaries])
+    spans = validate_boundaries(boundaries, frames.shape[0])
+    num_frames, dim = frames.shape
+    if len(spans) == 0:
+        return np.zeros((0, dim))
+    starts = spans[:, 0]
+    lengths = spans[:, 1] - starts
+    slots = np.arange(lengths.max())[:, None]
+    index = starts + slots
+    index[slots >= lengths] = num_frames
+    block = np.vstack([frames, np.full((1, dim), -0.0)])[index]
+    # Row by row, not block.sum(axis=0): numpy sums a contiguous run pairwise,
+    # which it is when the block holds one word of one feature.
+    total = block[0]
+    for row in block[1:]:
+        total += row
+    return total / lengths[:, None]
 
 
 def fft_resample(frames: np.ndarray, target_len: int) -> np.ndarray:

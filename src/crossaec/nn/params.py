@@ -9,6 +9,7 @@ import numpy as np
 
 from crossaec.errors import DegenerateInputError, ShapeError
 from crossaec.nn.tensor import Tensor
+from crossaec.util import non_numbers
 
 
 class ParameterStore:
@@ -57,14 +58,14 @@ class ParameterStore:
         for name, value in state.items():
             t = self._params[name]
             try:
-                value = np.asarray(value)
+                array = np.asarray(value)
                 # Integers and floats only: numpy would also read "1.5" and True.
-                numeric = value.dtype.kind in "iuf"
+                numeric = array.dtype.kind in "iuf" and not non_numbers(value, float)
             except ValueError:  # a ragged nested list
                 numeric = False
             if not numeric:
                 raise ShapeError(f"value for {name} is not numeric")
-            value = value.astype(np.float64)
+            value = array.astype(np.float64)
             if value.shape != t.data.shape:
                 raise ShapeError(
                     f"shape mismatch for {name}: {value.shape} vs {t.data.shape}"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -86,13 +86,25 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
-    """Wrap an op result, recording the graph only when it matters."""
-    out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
+def _make(data: np.ndarray, parents: tuple, vjp: Callable) -> Tensor:
+    """Wrap an op result, recording the graph only when it matters.
+
+    Every op computes float64 ``data`` from float64 inputs, so the result
+    skips ``Tensor.__init__``'s conversion.
+    """
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out.requires_grad = False
+    out._parents = ()
+    out._vjp = None
+    if _GRAD_ENABLED:
+        for parent in parents:
+            if parent.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._vjp = vjp
+                break
     return out
 
 

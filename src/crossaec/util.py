@@ -1,7 +1,8 @@
 """Small shared helpers: the argument rules, seed derivation, canonical JSON
 hashing. Each rule has one implementation: ``as_number`` (which values are
-ints or floats), ``as_count`` (an int >= a floor, else the caller's error)
-and ``token_ids`` (integer ids inside the vocabulary)."""
+ints or floats, with ``non_numbers`` applying it to each element of a Python
+sequence), ``as_count`` (an int >= a floor, else the caller's error) and
+``token_ids`` (integer ids inside the vocabulary)."""
 
 from __future__ import annotations
 
@@ -24,6 +25,17 @@ def as_number(value, kind: type) -> int | float | None:
     return None
 
 
+def non_numbers(values, kind: type) -> list:
+    """The elements of a (nested) Python sequence that ``as_number`` refuses
+    as ``kind``. numpy reads the bools in ``[4, True]`` as the integer 1, so
+    only the elements show them; an ndarray has none, since its dtype
+    already says what its elements are."""
+    if isinstance(values, np.ndarray):
+        return []
+    flat = np.asarray(values, dtype=object).ravel()
+    return [value for value in flat if as_number(value, kind) is None]
+
+
 def as_count(value, name: str, error: type, floor: int = 1) -> int:
     """``value`` as a plain int >= ``floor``; anything else raises ``error``."""
     count = as_number(value, int)
@@ -39,6 +51,9 @@ def token_ids(ids, vocab_size: int) -> np.ndarray:
     if array.size and not np.issubdtype(array.dtype, np.integer):
         bad = array.ravel()[:1].tolist()[0]
         raise VocabularyError(f"token ids must be integers, got {bad!r}")
+    bad = non_numbers(ids, int)
+    if bad:
+        raise VocabularyError(f"token ids must be integers, got {bad[0]!r}")
     if array.size and (array.min() < 0 or array.max() >= vocab_size):
         bad = array[(array < 0) | (array >= vocab_size)][0]
         raise VocabularyError(f"id {bad} outside vocabulary of size {vocab_size}")

@@ -425,3 +425,45 @@ def test_mean_pool_fails_exactly_on_bad_spans(num_frames, spans, form, not_a_pai
     for row, (start, end) in zip(awe, spans):
         brute = sum(frames[i] for i in range(start, end)) / (end - start)
         np.testing.assert_array_equal(row, brute)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([1, 2, 16]),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 12)), max_size=8),
+    st.integers(0, 3),
+    st.sampled_from(["list", "array"]),
+    st.integers(0, 2**32 - 1),
+)
+# A 9-frame span at dim 1: ndarray.mean summed it pairwise and missed the
+# frame-order mean in the last bit (seed 1 here); the row-by-row sum matches.
+@example(1, [(0, 9)], 0, "list", 1)
+def test_mean_pool_is_the_frame_order_mean(dim, pieces, trailing, form, seed):
+    # Each piece is (gap before the span, span length).
+    spans, end = [], 0
+    for gap, length in pieces:
+        spans.append((end + gap, end + gap + length))
+        end += gap + length
+    frames = np.random.default_rng(seed).normal(size=(end + trailing, dim))
+    given_spans = np.array(spans, dtype=np.int64).reshape(-1, 2) if form == "array" else spans
+    awe = mean_pool_awe(frames, given_spans)
+    assert awe.shape == (len(spans), dim) and awe.dtype == np.float64
+    for row, (start, stop) in zip(awe, spans):
+        frame_order_sum = sum(frames[i] for i in range(start, stop))
+        np.testing.assert_array_equal(row, frame_order_sum / (stop - start))
+
+
+def test_mean_pool_values_are_pinned():
+    # Digest of the vectors pooled one span at a time, before the one gather:
+    # the synthesized spans, then spans of uneven length with a gap and unused
+    # trailing frames.
+    frames, bounds = synth_frames(["red", "blue", "green", "red", "blue"], _table(), 4, 7)
+    uneven = [(0, 3), (4, 9), (9, 10), (12, 19)]
+    pooled = [mean_pool_awe(frames, bounds).tolist(), mean_pool_awe(frames, uneven).tolist()]
+    assert stable_hash(pooled) == "224fb9ea4a073d66"
+
+
+def test_validate_boundaries_returns_the_spans_as_an_int64_array():
+    spans = validate_boundaries([(np.uint8(0), 2), (3, np.int32(5))], 6)
+    assert spans.dtype == np.int64 and spans.tolist() == [[0, 2], [3, 5]]
+    assert validate_boundaries([], 6).shape == (0, 2)

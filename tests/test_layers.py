@@ -557,6 +557,8 @@ NON_NUMERIC = {
     "dict": [{"x": 1}, 1.0],
     "numeric-strings": ["1.5", "2"],
     "bools": [True, False],
+    "float-and-bool": [1.0, True],
+    "int-and-bool": [[2, True]],
     "string-array": np.array(["3", "4"]),
     "object-array": np.array([1.0, 2.0], dtype=object),
     "ragged": [[1.0], [2.0, 3.0]],

@@ -14,10 +14,10 @@ import pytest
 
 import crossaec
 from crossaec.acoustic import build_prototypes, fft_resample, pad_dsu, synth_frames
-from crossaec.errors import ConfigurationError, ShapeError
+from crossaec.errors import ConfigurationError, ShapeError, VocabularyError
 from crossaec.nn.config import ModelConfig
 from crossaec.nn.tensor import Tensor, attention
-from crossaec.util import as_number, derive_seed
+from crossaec.util import as_number, derive_seed, token_ids
 
 PACKAGE = Path(crossaec.__file__).parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
@@ -206,6 +206,13 @@ def test_as_number_returns_plain_numbers(value, kind, plain):
 )
 def test_as_number_rejects_bool_and_non_numbers(value, kind):
     assert as_number(value, kind) is None
+
+
+@pytest.mark.parametrize("ids", [[2, True], [[1, 2], [False, 3]], (np.int64(1), True)])
+def test_token_ids_reject_a_bool_mixed_into_integers(ids):
+    # np.asarray reads these as int64 arrays; the elements show the bool.
+    with pytest.raises(VocabularyError, match="must be integers, got (True|False)"):
+        token_ids(ids, 5)
 
 
 def test_derive_seed_is_pinned_and_below_2_63():

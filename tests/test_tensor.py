@@ -1,15 +1,18 @@
 """Gradient exactness of the autodiff primitives against finite differences."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from crossaec.errors import ShapeError, VocabularyError
+from crossaec.nn import tensor
 from crossaec.nn.tensor import (
     Tensor,
     add,
     attention,
+    constant,
     cross_entropy,
     embedding_lookup,
     layer_norm,
@@ -136,6 +139,7 @@ OUT_OF_VOCABULARY = {
     "embedding-vocab-size": lambda: embedding_lookup(_WEIGHT_3X2, [[3]]),
     "embedding-float": lambda: embedding_lookup(_WEIGHT_3X2, [[1.7]]),
     "embedding-bool": lambda: embedding_lookup(_WEIGHT_3X2, [[True]]),
+    "embedding-int-and-bool": lambda: embedding_lookup(_WEIGHT_3X2, [[2, True]]),
     "cross-entropy-negative": lambda: cross_entropy(
         Tensor(np.zeros((1, 2, 5))), [[-1, 0]], np.ones((1, 2))
     ),
@@ -144,6 +148,9 @@ OUT_OF_VOCABULARY = {
     ),
     "cross-entropy-bool": lambda: cross_entropy(
         Tensor(np.zeros((1, 2, 5))), [[True, False]], np.ones((1, 2))
+    ),
+    "cross-entropy-int-and-bool": lambda: cross_entropy(
+        Tensor(np.zeros((1, 2, 5))), [[0, True]], np.ones((1, 2))
     ),
 }
 
@@ -217,3 +224,33 @@ def test_no_grad_blocks_graph():
             attention(seq, seq, seq, 2, np.ones((1, 2), dtype=bool)),
         ]
     assert not any(out.requires_grad for out in outs)
+
+
+def test_every_op_returns_float64_data():
+    # Op results skip Tensor's float64 conversion, so each op must make
+    # float64 ndarrays itself; a new public op must join this list.
+    local = np.random.default_rng(0)
+    seq = Tensor(local.normal(size=(1, 3, 4)), requires_grad=True)
+    weight = Tensor(local.normal(size=(4, 4)), requires_grad=True)
+    bias = Tensor(np.zeros(4), requires_grad=True)
+    ops = {
+        "constant": lambda: constant([[1, 2]]),
+        "add": lambda: add(seq, bias),
+        "relu": lambda: relu(seq),
+        "tanh": lambda: tanh(seq),
+        "tensor_sum": lambda: tensor_sum(seq),
+        "linear": lambda: linear(seq, weight, bias),
+        "attention": lambda: attention(seq, seq, seq, 2, np.ones((1, 3), dtype=bool)),
+        "layer_norm": lambda: layer_norm(seq, bias, bias),
+        "embedding_lookup": lambda: embedding_lookup(weight, np.array([[0, 3]])),
+        "cross_entropy": lambda: cross_entropy(seq, np.array([[0, 1, 3]]), np.ones((1, 3))),
+    }
+    public = {
+        name
+        for name, fn in inspect.getmembers(tensor, inspect.isfunction)
+        if fn.__module__ == tensor.__name__ and not name.startswith("_")
+    }
+    assert sorted(public - {"no_grad"}) == sorted(ops)
+    for name, op in ops.items():
+        out = op()
+        assert type(out.data) is np.ndarray and out.data.dtype == np.float64, name
