@@ -15,7 +15,7 @@ Fourier-resampled frame sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from crossaec.errors import (
     ShapeError,
 )
 from crossaec.nn.tensor import Tensor, linear, tanh
-from crossaec.util import as_count, as_number
+from crossaec.util import as_array, as_count, as_number
 
 Boundary = Tuple[int, int]
 
@@ -50,16 +50,16 @@ class PrototypeTable:
         self.noise_sigma = sigma
         if not self.prototypes:
             raise CoverageError("prototype table has no words")
-        shapes = {np.shape(v) for v in self.prototypes.values()}
+        self.prototypes = {
+            w: as_array(v, float, f"prototype for {w!r}", ShapeError)
+            for w, v in self.prototypes.items()
+        }
+        shapes = {v.shape for v in self.prototypes.values()}
         if len(shapes) != 1 or [len(s) for s in shapes] != [1] or (0,) in shapes:
             raise ShapeError(
                 f"prototypes must be non-empty vectors of one dimension, got "
                 f"shapes {sorted(shapes)}"
             )
-        # float64 arrays pass through np.asarray uncopied.
-        self.prototypes = {
-            w: np.asarray(v, dtype=np.float64) for w, v in self.prototypes.items()
-        }
         finite = np.isfinite(np.array(list(self.prototypes.values()))).all(axis=1)
         if not finite.all():
             word = list(self.prototypes)[int(np.argmin(finite))]
@@ -99,10 +99,11 @@ def synth_frames(
     table: PrototypeTable,
     frames_per_word: int,
     rng_seed: int,
-) -> Tuple[np.ndarray, List[Boundary]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Frames for the spoken reference: prototype + gaussian noise per frame.
 
-    Returns the frame matrix and the exact per-reference-word boundaries.
+    Returns the frame matrix and the exact per-reference-word boundaries as
+    an (n, 2) int64 array, the form ``validate_boundaries`` returns.
     """
     per_word = as_count(frames_per_word, "frames_per_word", ShapeError)
     missing = [w for w in ref_words if w not in table.prototypes]
@@ -112,43 +113,34 @@ def synth_frames(
     count = len(ref_words)
     # One draw in row order gives the same values as one draw per word.
     noise = rng.normal(0.0, table.noise_sigma, (count * per_word, table.dim))
-    protos = np.array([table.prototypes[w] for w in ref_words])
-    protos = protos.reshape(count, table.dim)
+    protos = np.array([table.prototypes[w] for w in ref_words]).reshape(count, table.dim)
     frames = np.repeat(protos, per_word, axis=0) + noise
-    boundaries: List[Boundary] = [
-        (i * per_word, (i + 1) * per_word) for i in range(count)
-    ]
+    boundaries = (np.arange(count, dtype=np.int64)[:, None] + [0, 1]) * per_word
     return frames, boundaries
 
 
 def validate_boundaries(boundaries: Sequence[Boundary], num_frames: int) -> np.ndarray:
     """Spans are integer pairs, non-empty, inside [0, num_frames) and in order
     without overlap; returns them as an (n, 2) int64 array."""
-    checked = []  # start, end, start, end, ... as plain ints
-    prev_end = 0
-    for span in boundaries:
-        try:
-            start, end = span
-        except (TypeError, ValueError):
-            raise AlignmentError(f"boundary {span!r} is not a (start, end) pair") from None
-        plain = as_number(start, int), as_number(end, int)
-        if None in plain:
-            raise AlignmentError(f"boundary ({start!r}, {end!r}) ends must be integers")
-        start, end = plain
-        if not (0 <= start < end <= num_frames):
-            raise AlignmentError(
-                f"boundary ({start}, {end}) outside frames [0, {num_frames})"
-            )
-        if start < prev_end:
-            raise AlignmentError(f"boundary ({start}, {end}) overlaps previous span")
-        checked += plain
-        prev_end = end
-    return np.array(checked, dtype=np.int64).reshape(-1, 2)
+    spans = as_array(boundaries, int, "boundary ends", AlignmentError)
+    spans = spans.reshape(0, 2) if spans.shape == (0,) else spans
+    if spans.ndim != 2 or spans.shape[1] != 2:
+        raise AlignmentError(f"boundaries must be (start, end) pairs, got shape {spans.shape}")
+    starts, ends = spans[:, 0], spans[:, 1]
+    outside = (starts < 0) | (ends <= starts) | (ends > num_frames)
+    if outside.any():
+        start, end = spans[outside.argmax()]
+        raise AlignmentError(f"boundary ({start}, {end}) outside frames [0, {num_frames})")
+    overlaps = starts[1:] < ends[:-1]
+    if overlaps.any():
+        start, end = spans[overlaps.argmax() + 1]
+        raise AlignmentError(f"boundary ({start}, {end}) overlaps previous span")
+    return spans
 
 
 def _frame_matrix(values, name: str) -> np.ndarray:
     """``values`` as a float64 (rows, dim) matrix; any other rank is a ShapeError."""
-    matrix = np.asarray(values, dtype=np.float64)
+    matrix = as_array(values, float, name, ShapeError)
     if matrix.ndim != 2:
         raise ShapeError(f"{name} must be a 2D (rows, dim) matrix, got {matrix.shape}")
     return matrix

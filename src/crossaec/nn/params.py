@@ -9,7 +9,7 @@ import numpy as np
 
 from crossaec.errors import DegenerateInputError, ShapeError
 from crossaec.nn.tensor import Tensor
-from crossaec.util import non_numbers
+from crossaec.util import as_array
 
 
 class ParameterStore:
@@ -57,15 +57,8 @@ class ParameterStore:
         checked = {}
         for name, value in state.items():
             t = self._params[name]
-            try:
-                array = np.asarray(value)
-                # Integers and floats only: numpy would also read "1.5" and True.
-                numeric = array.dtype.kind in "iuf" and not non_numbers(value, float)
-            except ValueError:  # a ragged nested list
-                numeric = False
-            if not numeric:
-                raise ShapeError(f"value for {name} is not numeric")
-            value = array.astype(np.float64)
+            # A copy: the caller keeps its own array.
+            value = as_array(value, float, f"value for {name}", ShapeError).copy()
             if value.shape != t.data.shape:
                 raise ShapeError(
                     f"shape mismatch for {name}: {value.shape} vs {t.data.shape}"

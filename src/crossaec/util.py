@@ -1,8 +1,8 @@
 """Small shared helpers: the argument rules, seed derivation, canonical JSON
 hashing. Each rule has one implementation: ``as_number`` (which values are
-ints or floats, with ``non_numbers`` applying it to each element of a Python
-sequence), ``as_count`` (an int >= a floor, else the caller's error) and
-``token_ids`` (integer ids inside the vocabulary)."""
+ints or floats), ``as_count`` (an int >= a floor, else the caller's error),
+``as_array`` (an int64 or float64 array of such numbers, else the caller's
+error) and ``token_ids`` (integer ids inside the vocabulary)."""
 
 from __future__ import annotations
 
@@ -19,21 +19,13 @@ def as_number(value, kind: type) -> int | float | None:
     ints count as either kind and floats as float, numpy's as well as Python's,
     but ``bool`` never does (True is not a size, a seed or a rate)."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return kind(value)
+        try:
+            return kind(value)
+        except OverflowError:  # an int too large for a float
+            return None
     if kind is float and isinstance(value, (float, np.floating)):
         return float(value)
     return None
-
-
-def non_numbers(values, kind: type) -> list:
-    """The elements of a (nested) Python sequence that ``as_number`` refuses
-    as ``kind``. numpy reads the bools in ``[4, True]`` as the integer 1, so
-    only the elements show them; an ndarray has none, since its dtype
-    already says what its elements are."""
-    if isinstance(values, np.ndarray):
-        return []
-    flat = np.asarray(values, dtype=object).ravel()
-    return [value for value in flat if as_number(value, kind) is None]
 
 
 def as_count(value, name: str, error: type, floor: int = 1) -> int:
@@ -44,20 +36,42 @@ def as_count(value, name: str, error: type, floor: int = 1) -> int:
     return count
 
 
+_ARRAY_KINDS = {int: (np.int64, "integers", "i"), float: (np.float64, "numbers", "iuf")}
+
+
+def as_array(values, kind: type, name: str, error: type) -> np.ndarray:
+    """``values`` as an int64 (``kind=int``) or float64 (``kind=float``) array of
+    numbers ``as_number`` takes as ``kind``, else ``error`` naming the first bad
+    one. A non-empty ndarray's dtype says what it holds (the target dtype passes
+    uncopied); numpy reads ``[4, True]`` as ints, so a sequence is read per element."""
+    dtype, word, kinds = _ARRAY_KINDS[kind]
+    if isinstance(values, np.ndarray) and values.dtype.kind in kinds:
+        return values.astype(dtype, copy=False)
+    # Unsigned ints go element by element: int64 would wrap those >= 2**63.
+    if isinstance(values, np.ndarray) and values.size and values.dtype.kind != "u":
+        raise error(f"{name} must be {word}, got an array of {values.dtype}")
+    try:
+        objects = np.asarray(values, dtype=object)
+    except ValueError:  # arrays whose shapes differ past the first axis
+        raise error(f"{name} must be {word}, got ragged rows") from None
+    bad = [v for v in objects.flat if as_number(v, kind) is None]
+    if bad:
+        raise error(f"{name} must be {word}, got {bad[0]!r}")
+    try:
+        return objects.astype(dtype)
+    except OverflowError:  # only int64 can: as_number took every float
+        big = next(v for v in objects.flat if not -(2**63) <= int(v) < 2**63)
+        raise error(f"{name} must fit in int64, got {big}") from None
+
+
 def token_ids(ids, vocab_size: int) -> np.ndarray:
     """``ids`` as an int64 array of integers in [0, vocab_size); a float or
     bool id, or one outside that range, is a VocabularyError naming it."""
-    array = np.asarray(ids)
-    if array.size and not np.issubdtype(array.dtype, np.integer):
-        bad = array.ravel()[:1].tolist()[0]
-        raise VocabularyError(f"token ids must be integers, got {bad!r}")
-    bad = non_numbers(ids, int)
-    if bad:
-        raise VocabularyError(f"token ids must be integers, got {bad[0]!r}")
+    array = as_array(ids, int, "token ids", VocabularyError)
     if array.size and (array.min() < 0 or array.max() >= vocab_size):
         bad = array[(array < 0) | (array >= vocab_size)][0]
         raise VocabularyError(f"id {bad} outside vocabulary of size {vocab_size}")
-    return array.astype(np.int64, copy=False)
+    return array
 
 
 def derive_seed(*parts) -> int:

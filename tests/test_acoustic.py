@@ -39,14 +39,14 @@ def test_synth_frames_zero_noise_equals_prototypes():
     frames, bounds = synth_frames(["red", "blue"], table, 3, rng_seed=1)
     np.testing.assert_array_equal(frames[0:3], np.tile(table.prototypes["red"], (3, 1)))
     np.testing.assert_array_equal(frames[3:6], np.tile(table.prototypes["blue"], (3, 1)))
-    assert bounds == [(0, 3), (3, 6)]
+    assert bounds.tolist() == [[0, 3], [3, 6]]
 
 
 def test_synth_frames_boundaries_exact():
     table = _table()
     frames, bounds = synth_frames(["red", "blue", "green"], table, 4, rng_seed=2)
     assert frames.shape == (12, 6)
-    assert bounds == [(0, 4), (4, 8), (8, 12)]
+    assert bounds.tolist() == [[0, 4], [4, 8], [8, 12]]
 
 
 def test_synth_frames_deterministic():
@@ -66,7 +66,7 @@ def test_synth_frames_values_are_pinned():
 
 def test_synth_frames_empty_reference():
     frames, bounds = synth_frames([], _table(), 4, rng_seed=7)
-    assert frames.shape == (0, 6) and bounds == []
+    assert frames.shape == (0, 6) and bounds.tolist() == []
 
 
 def test_synth_frames_missing_prototype():
@@ -113,6 +113,16 @@ def test_prototype_table_rejects_non_finite_prototype(bad):
 
 
 @pytest.mark.parametrize(
+    "bad",
+    [["1.5", "2.0"], [True, False], [1.0, True], np.array(["1", "2"]), [[1.0], [2.0, 3.0]]],
+    ids=["numeric-strings", "bools", "float-and-bool", "string-array", "ragged"],
+)
+def test_prototype_table_rejects_non_numeric_prototype(bad):
+    with pytest.raises(ShapeError, match="prototype for 'b' must be numbers"):
+        PrototypeTable(prototypes={"a": [1.0, 2.0], "b": bad}, noise_sigma=0.1)
+
+
+@pytest.mark.parametrize(
     "bad, error",
     [
         (math.nan, DegenerateInputError),
@@ -142,7 +152,7 @@ def test_prototype_table_stores_noise_sigma_as_plain_float(sigma, plain):
 
 def _frames_per_word(n):
     frames, bounds = synth_frames(["red", "blue"], _table(), n, rng_seed=4)
-    return frames.tolist(), bounds
+    return frames.tolist(), bounds.tolist()
 
 
 def _target_len(n):
@@ -357,6 +367,14 @@ def test_mean_pool_rejects_non_integer_span_ends(span):
         mean_pool_awe(np.zeros((4, 2)), [span])
 
 
+@pytest.mark.parametrize(
+    "boundaries", [5, None, np.array([0, 2])], ids=["int", "none", "1d-array"]
+)
+def test_mean_pool_rejects_boundaries_that_are_not_pairs(boundaries):
+    with pytest.raises(AlignmentError):
+        mean_pool_awe(np.zeros((4, 2)), boundaries)
+
+
 def test_mean_pool_takes_numpy_integer_span_ends():
     frames = np.random.default_rng(3).normal(size=(4, 2))
     spans = [(np.int64(0), np.int32(2)), (np.uint8(2), np.int64(4))]
@@ -379,6 +397,22 @@ MATRIX_SITES = {
 def test_matrix_inputs_must_be_2d(site, shape):
     with pytest.raises(ShapeError, match="2D"):
         MATRIX_SITES[site](np.zeros(shape))
+
+
+NON_NUMERIC_MATRICES = {
+    "numeric-strings": [["1.5", "2"], ["3", "4"]],
+    "bools": [[True, False], [False, True]],
+    "float-and-bool": [[1.0, True], [2.0, 3.0]],
+    "bool-array": np.ones((2, 2), dtype=bool),
+    "ragged": [[1.0], [2.0, 3.0]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_NUMERIC_MATRICES))
+@pytest.mark.parametrize("site", sorted(MATRIX_SITES))
+def test_matrix_inputs_must_be_numbers(site, case):
+    with pytest.raises(ShapeError, match="must be numbers"):
+        MATRIX_SITES[site](NON_NUMERIC_MATRICES[case])
 
 
 def test_fft_resample_rejects_zero_frames():

@@ -1,8 +1,8 @@
 """Package-wide checks: no module imports a name it never uses (so nothing is
 re-exported, and every name has one import path) or defines a private name it
 never reads, every public op of ``nn.tensor`` has a caller outside the tests,
-only ``util`` writes the bool rule, every count argument fails with the count
-rule's message, and ``derive_seed`` is stable."""
+only ``util`` writes the bool and dtype rules, every count argument fails with
+the count rule's message, and ``derive_seed`` is stable."""
 
 import ast
 import json
@@ -111,25 +111,37 @@ def test_every_public_tensor_op_has_a_caller():
     assert sorted(public - used - {"tensor_sum"}) == []
 
 
-def _bool_checks(tree: ast.Module) -> list[int]:
-    """Lines of every ``isinstance(x, ...)`` call whose types name ``bool``."""
+def _number_rule_lines(tree: ast.Module) -> list[int]:
+    """Lines of every ``isinstance(x, ...)`` call whose types name ``bool``,
+    every ``<x>.dtype.kind`` read and every use of ``issubdtype``."""
     return [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "isinstance"
-        and len(node.args) == 2
-        and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
+        )
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr == "kind"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "dtype"
+        )
+        or (isinstance(node, ast.Attribute) and node.attr == "issubdtype")
+        or (isinstance(node, ast.Name) and node.id == "issubdtype")
     ]
 
 
 def test_only_util_writes_the_bool_rule():
-    # Numbers are checked by ``util.as_number``; a second bool rule would drift.
+    # Numbers are checked by ``util.as_number`` and arrays of them by
+    # ``util.as_array``; a second bool or dtype rule would drift.
     found = {
         path.relative_to(PACKAGE.parent).as_posix(): lines
         for path in SOURCES
-        if (lines := _bool_checks(ast.parse(path.read_text(encoding="utf-8"))))
+        if (lines := _number_rule_lines(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert set(found) <= {"crossaec/util.py"}, found
 
@@ -202,6 +214,7 @@ def test_as_number_returns_plain_numbers(value, kind, plain):
         ("2", float),
         (None, float),
         (1j, float),
+        pytest.param(10**400, float, id="int-too-large-for-float"),
     ],
 )
 def test_as_number_rejects_bool_and_non_numbers(value, kind):
@@ -212,6 +225,14 @@ def test_as_number_rejects_bool_and_non_numbers(value, kind):
 def test_token_ids_reject_a_bool_mixed_into_integers(ids):
     # np.asarray reads these as int64 arrays; the elements show the bool.
     with pytest.raises(VocabularyError, match="must be integers, got (True|False)"):
+        token_ids(ids, 5)
+
+
+@pytest.mark.parametrize(
+    "ids", [np.array([1, 2**63], dtype=np.uint64), [1, 2**63]], ids=["uint64-array", "list"]
+)
+def test_token_ids_name_an_id_too_large_for_int64(ids):
+    with pytest.raises(VocabularyError, match=f"must fit in int64, got {2**63}$"):
         token_ids(ids, 5)
 
 
