@@ -84,7 +84,7 @@ def build_prototypes(
     uninformative-control construction).
     """
     dim = as_count(feature_dim, "feature_dim", ShapeError)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_count(seed, "seed", ShapeError, 0))
     if clusters is None:
         vectors = {w: rng.normal(0.0, 1.0, dim) for w in words}
     else:
@@ -109,7 +109,7 @@ def synth_frames(
     missing = [w for w in ref_words if w not in table.prototypes]
     if missing:
         raise CoverageError(f"no prototype for words: {sorted(set(missing))}")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(as_count(rng_seed, "rng_seed", ShapeError, 0))
     count = len(ref_words)
     # One draw in row order gives the same values as one draw per word.
     noise = rng.normal(0.0, table.noise_sigma, (count * per_word, table.dim))

@@ -170,7 +170,8 @@ class Block:
 
 
 class _Stack:
-    """Blocks, then a final norm; each subclass sets ``decoder`` for its blocks."""
+    """Blocks, then a final norm; each subclass sets ``decoder`` for its blocks,
+    and only a decoder is called with a memory and its mask."""
 
     def __init__(self, store, name, config: ModelConfig, rng):
         count = config.decoder_layers if self.decoder else config.encoder_layers
@@ -180,7 +181,7 @@ class _Stack:
         ]
         self.final_norm = LayerNorm(store, f"{name}.final_norm", config.model_dim)
 
-    def _run(self, x: Tensor, mask, memory=None, memory_mask=None) -> Tensor:
+    def __call__(self, x: Tensor, mask, memory=None, memory_mask=None) -> Tensor:
         for block in self.blocks:
             x = block(x, mask, memory, memory_mask)
         return self.final_norm(x)
@@ -191,19 +192,11 @@ class Encoder(_Stack):
 
     decoder = False
 
-    def __call__(self, x: Tensor, pad_mask: np.ndarray) -> Tensor:
-        return self._run(x, pad_mask)
-
 
 class Decoder(_Stack):
     """Causal decoder stack attending to a fused memory."""
 
     decoder = True
-
-    def __call__(
-        self, x: Tensor, self_mask: np.ndarray, memory: Tensor, memory_mask: np.ndarray
-    ) -> Tensor:
-        return self._run(x, self_mask, memory, memory_mask)
 
 
 def cross_entropy_loss(

@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
 from crossaec.errors import (
+    ConfigurationError,
     CorpusFormatError,
     DegenerateInputError,
     SequenceLengthError,
     VocabularyError,
 )
-from crossaec.util import token_ids
+from crossaec.util import as_count, token_ids
 
 PAD_ID = 0
 BOS_ID = 1
@@ -105,10 +106,12 @@ def encode(
     ids = [vocab.id_of(w) for w in words]
     if add_bos_eos:
         ids = [BOS_ID] + ids + [EOS_ID]
-    if max_seq_len is not None and len(ids) > max_seq_len:
-        raise SequenceLengthError(
-            f"sequence of {len(ids)} tokens exceeds max_seq_len {max_seq_len}"
-        )
+    if max_seq_len is not None:
+        limit = as_count(max_seq_len, "max_seq_len", ConfigurationError)
+        if len(ids) > limit:
+            raise SequenceLengthError(
+                f"sequence of {len(ids)} tokens exceeds max_seq_len {limit}"
+            )
     return ids
 
 

@@ -1,8 +1,8 @@
-"""Small shared helpers: the argument rules, seed derivation, canonical JSON
-hashing. Each rule has one implementation: ``as_number`` (which values are
-ints or floats), ``as_count`` (an int >= a floor, else the caller's error),
-``as_array`` (an int64 or float64 array of such numbers, else the caller's
-error) and ``token_ids`` (integer ids inside the vocabulary)."""
+"""Small shared helpers: the argument rules and canonical JSON hashing. Each
+rule has one implementation: ``as_number`` (which values are ints or floats),
+``as_count`` (an int >= a floor, else the caller's error), ``as_array`` (an
+int64 or float64 array of such numbers, else the caller's error) and
+``token_ids`` (integer ids inside the vocabulary)."""
 
 from __future__ import annotations
 
@@ -72,17 +72,6 @@ def token_ids(ids, vocab_size: int) -> np.ndarray:
         bad = array[(array < 0) | (array >= vocab_size)][0]
         raise VocabularyError(f"id {bad} outside vocabulary of size {vocab_size}")
     return array
-
-
-def derive_seed(*parts) -> int:
-    """Derive a stable 63-bit seed from any printable parts.
-
-    Used to give every sub-task (corpus line, training arm, channel) its
-    own independent stream from one experiment seed.
-    """
-    key = "\x1f".join(str(p) for p in parts)
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little") & 0x7FFF_FFFF_FFFF_FFFF
 
 
 def stable_hash(obj) -> str:

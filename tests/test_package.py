@@ -1,8 +1,8 @@
 """Package-wide checks: no module imports a name it never uses (so nothing is
 re-exported, and every name has one import path) or defines a private name it
-never reads, every public op of ``nn.tensor`` has a caller outside the tests,
-only ``util`` writes the bool and dtype rules, every count argument fails with
-the count rule's message, and ``derive_seed`` is stable."""
+never reads, every public name of the package has a caller outside the tests
+or a named reservation, only ``util`` writes the bool and dtype rules, and
+every count argument fails with the count rule's message."""
 
 import ast
 import json
@@ -17,7 +17,8 @@ from crossaec.acoustic import build_prototypes, fft_resample, pad_dsu, synth_fra
 from crossaec.errors import ConfigurationError, ShapeError, VocabularyError
 from crossaec.nn.config import ModelConfig
 from crossaec.nn.tensor import Tensor, attention
-from crossaec.util import as_number, derive_seed, token_ids
+from crossaec.text import Vocabulary, encode
+from crossaec.util import as_number, token_ids
 
 PACKAGE = Path(crossaec.__file__).parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
@@ -44,7 +45,9 @@ def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
-def _dead_private_names(tree: ast.Module) -> list[str]:
+def _module_level_names(tree: ast.Module) -> dict[str, int]:
+    """The functions, classes and assigned names of a module's top level, with
+    the line of each."""
     defined = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -54,6 +57,11 @@ def _dead_private_names(tree: ast.Module) -> list[str]:
             for target in targets:
                 if isinstance(target, ast.Name):
                     defined[target.id] = node.lineno
+    return defined
+
+
+def _dead_private_names(tree: ast.Module) -> list[str]:
+    defined = _module_level_names(tree)
     loaded = {
         node.id
         for node in ast.walk(tree)
@@ -73,42 +81,96 @@ def test_no_dead_private_names(path):
     assert _dead_private_names(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
-def _names_taken_from_tensor(tree: ast.Module) -> set[str]:
-    """Names a module imports from ``crossaec.nn.tensor`` or reads as
-    attributes of the module it imports as ``from crossaec.nn import tensor``."""
-    taken, aliases = set(), set()
+def _module_of(path: Path) -> str:
+    """``nn/tensor.py`` -> ``nn.tensor``."""
+    return ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+
+
+MODULES = {_module_of(path) for path in SOURCES}
+# Tests are not callers: a name only a test calls is reserved or deleted.
+CALLERS = SOURCES + [path for path in BENCHMARK if not path.name.startswith("test_")]
+
+# Public names with no caller in the package or the benchmark, each with what
+# keeps it: a test tool, or the ROADMAP item whose code will call it.
+RESERVED = {
+    "nn.tensor.tensor_sum": "test tool: every gradient test builds its scalar loss from it",
+    "nn.gradcheck.gradient_check": "test tool: the finite-difference gate of the layer tests",
+    "nn.config.ModelConfig.from_dict": "item 1c: `crossaec run --config` reads its config",
+    "text.decode": "item 1c: greedy decoding turns the corrector's ids back into words",
+    "acoustic.build_prototypes": "item 1c: the package's runs and the clusters=1 control",
+    "nn.params.ParameterStore.state_dict": "item 2: a checkpoint saves the parameters",
+    "nn.params.ParameterStore.load_state_dict": "item 2: a resumed run loads them",
+    "text.Vocabulary.to_list": "item 2: a checkpoint saves the vocabulary",
+    "text.Vocabulary.from_list": "item 2: a resumed run rebuilds it",
+    "errors.CalibrationError": "item 9: raised when no noise level gives the target WER",
+    "metrics.edit_ops": "items 3 and 10 align with it; perfbench/tracing.py patches it",
+    "metrics.bleu": "item 6 retargets its span; perfbench/tracing.py patches it",
+    "metrics.gleu": "item 6 retargets its span; perfbench/tracing.py patches it",
+}
+
+
+def _public_names(tree: ast.Module) -> list[str]:
+    """Public module-level functions, classes and constants, as ``name``, and
+    the public methods of public classes, as ``Class.method``."""
+    names = list(_module_level_names(tree))
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            methods = [m.name for m in node.body if isinstance(m, ast.FunctionDef)]
+            names += [f"{node.name}.{m}" for m in methods]
+    return [n for n in names if not any(part.startswith("_") for part in n.split("."))]
+
+
+def _reads(tree: ast.Module, own: str | None) -> tuple[set[str], set[str]]:
+    """The package names a module reads, as ``module.name``, and the name of
+    every attribute it reads. A name is read through ``from module import
+    name``, through ``alias.name`` where ``alias`` was imported as a package
+    module, or, in its own module ``own``, by plain use."""
+    names, aliases = set(), {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "crossaec.nn.tensor":
-            taken.update(a.name for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module == "crossaec.nn":
-            aliases.update(a.asname or a.name for a in node.names if a.name == "tensor")
-    taken.update(
-        node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id in aliases
-    )
-    return taken
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("crossaec"):
+            package = node.module.removeprefix("crossaec").lstrip(".")
+            for alias in node.names:
+                name = f"{package}.{alias.name}".lstrip(".")
+                if name in MODULES:
+                    aliases[alias.asname or alias.name] = name
+                else:
+                    names.add(name)
+    attributes = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                names.add(f"{aliases[node.value.id]}.{node.attr}")
+        elif own and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(f"{own}.{node.id}")
+    return names, attributes
 
 
-def test_every_public_tensor_op_has_a_caller():
-    # ``nn.tensor`` holds only the ops a program runs: each public function or
-    # class is used by another package module or by the benchmark. The one
-    # exception is ``tensor_sum``: no program needs a sum of every entry (the
-    # loss, ``cross_entropy``, is already a scalar), but every gradient test
-    # builds its scalar loss from it.
-    tensor_path = PACKAGE / "nn" / "tensor.py"
-    public = {
-        node.name
-        for node in ast.parse(tensor_path.read_text(encoding="utf-8")).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    }
-    used = set()
-    for path in [p for p in SOURCES if p != tensor_path] + BENCHMARK:
-        used |= _names_taken_from_tensor(ast.parse(path.read_text(encoding="utf-8")))
+def test_every_public_name_has_a_caller_or_is_reserved():
+    """Every public function, class, constant and method of ``crossaec`` is
+    used by a module of the package or the benchmark, or is in ``RESERVED``.
+
+    A method counts as called on any attribute read of its name, whatever
+    the object: the match is by name only, so ``ModelConfig.to_dict`` passes
+    on the benchmark's ``report.to_dict()``. The test also fails when a
+    reserved name gains a caller (or is gone), so ``RESERVED`` shrinks as the
+    code that calls its names lands."""
     assert BENCHMARK, "the benchmark files were not found"
-    assert sorted(public - used - {"tensor_sum"}) == []
+    names, attributes = set(), set()
+    for path in CALLERS:
+        own = _module_of(path) if path in SOURCES else None
+        read, attrs = _reads(ast.parse(path.read_text(encoding="utf-8")), own)
+        names |= read
+        attributes |= attrs
+    uncalled = set()
+    for path in SOURCES:
+        module = _module_of(path)
+        for name in _public_names(ast.parse(path.read_text(encoding="utf-8"))):
+            _, _, method = name.partition(".")
+            if not (method in attributes if method else f"{module}.{name}" in names):
+                uncalled.add(f"{module}.{name}")
+    assert sorted(uncalled - set(RESERVED)) == [], "no caller: delete it or reserve it"
+    assert sorted(set(RESERVED) - uncalled) == [], "called or gone: drop it from RESERVED"
 
 
 def _number_rule_lines(tree: ast.Module) -> list[int]:
@@ -155,6 +217,13 @@ COUNT_SITES = {
     "feature_dim": (ShapeError, 1, lambda n: build_prototypes(["a"], n, 0.1, seed=0)),
     "clusters": (ShapeError, 1, lambda n: build_prototypes(["a"], 2, 0.1, 0, clusters=n)),
     "frames_per_word": (ShapeError, 1, lambda n: synth_frames(["a"], _TABLE, n, 0)),
+    "build_prototypes.seed": (ShapeError, 0, lambda n: build_prototypes(["a"], 2, 0.1, n)),
+    "rng_seed": (ShapeError, 0, lambda n: synth_frames(["a"], _TABLE, 2, n)),
+    "encode.max_seq_len": (
+        ConfigurationError,
+        1,
+        lambda n: encode(Vocabulary(["a"]), ["a"], max_seq_len=n),
+    ),
     "fft_resample.target_len": (ShapeError, 1, lambda n: fft_resample(np.ones((3, 2)), n)),
     "pad_dsu.target_len": (ShapeError, 1, lambda n: pad_dsu(np.ones((1, 2)), n)),
     "attention.num_heads": (
@@ -182,6 +251,14 @@ def test_count_arguments_fail_with_the_count_rule_message(site, bad):
         call(value)
     name = site.split(".")[-1]
     assert str(caught.value) == f"{name} must be an integer >= {floor}, got {value!r}"
+
+
+@pytest.mark.parametrize("site", ["build_prototypes.seed", "rng_seed"])
+def test_seeds_reject_none(site):
+    # numpy would draw OS entropy for None, so the values would change per run.
+    error, _, call = COUNT_SITES[site]
+    with pytest.raises(error, match="must be an integer >= 0, got None$"):
+        call(None)
 
 
 @pytest.mark.parametrize(
@@ -234,9 +311,3 @@ def test_token_ids_reject_a_bool_mixed_into_integers(ids):
 def test_token_ids_name_an_id_too_large_for_int64(ids):
     with pytest.raises(VocabularyError, match=f"must fit in int64, got {2**63}$"):
         token_ids(ids, 5)
-
-
-def test_derive_seed_is_pinned_and_below_2_63():
-    assert derive_seed("corpus", 3, "line", 7) == 8121580019431239021
-    for parts in [(), (0,), ("arm", "dsu"), (2**70, -1, "x")]:
-        assert 0 <= derive_seed(*parts) < 2**63
