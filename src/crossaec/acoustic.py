@@ -26,7 +26,7 @@ from crossaec.errors import (
     ShapeError,
 )
 from crossaec.nn.tensor import Tensor, linear, tanh
-from crossaec.util import as_array, as_count, as_number
+from crossaec.util import as_array, as_count, as_real
 
 Boundary = Tuple[int, int]
 
@@ -40,14 +40,7 @@ class PrototypeTable:
     noise_sigma: float
 
     def __post_init__(self):
-        sigma = as_number(self.noise_sigma, float)
-        if sigma is None:
-            raise ShapeError(f"noise_sigma must be a number, got {self.noise_sigma!r}")
-        if not np.isfinite(sigma):
-            raise DegenerateInputError(f"noise_sigma is not finite: {sigma}")
-        if sigma < 0:
-            raise ShapeError("noise_sigma must be >= 0")
-        self.noise_sigma = sigma
+        self.noise_sigma = as_real(self.noise_sigma, "noise_sigma", ShapeError)
         if not self.prototypes:
             raise CoverageError("prototype table has no words")
         self.prototypes = {
@@ -79,18 +72,15 @@ def build_prototypes(
 ) -> PrototypeTable:
     """Standard-normal prototypes of ``feature_dim`` values per word.
 
-    ``clusters`` collapses words onto that many shared vectors;
-    ``clusters=1`` makes the acoustics carry no word identity at all (the
-    uninformative-control construction).
+    ``clusters`` collapses words onto that many shared vectors (by default
+    as many as there are words); ``clusters=1`` makes the acoustics carry no
+    word identity at all (the uninformative-control construction).
     """
     dim = as_count(feature_dim, "feature_dim", ShapeError)
     rng = np.random.default_rng(as_count(seed, "seed", ShapeError, 0))
-    if clusters is None:
-        vectors = {w: rng.normal(0.0, 1.0, dim) for w in words}
-    else:
-        count = as_count(clusters, "clusters", ShapeError)
-        centers = rng.normal(0.0, 1.0, (count, dim))
-        vectors = {w: centers[i % count].copy() for i, w in enumerate(words)}
+    count = len(words) if clusters is None else as_count(clusters, "clusters", ShapeError)
+    centers = rng.normal(0.0, 1.0, (count, dim))
+    vectors = {w: centers[i % count].copy() for i, w in enumerate(words)}
     return PrototypeTable(prototypes=vectors, noise_sigma=noise_sigma)
 
 

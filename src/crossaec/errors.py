@@ -44,7 +44,7 @@ class AlignmentError(CrossAecError):
 
 
 class CoverageError(CrossAecError):
-    """A required table entry (prototype, neighbor list) is missing."""
+    """A word has no entry in the prototype table, or the table is empty."""
 
     exit_code = 3
 

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, fields
 
 from crossaec.errors import ConfigurationError
-from crossaec.util import as_count, as_number
+from crossaec.util import as_count, as_real
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,5 @@ class OptimizerConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        lr = self.learning_rate
-        rate = as_number(lr, float)
-        if rate is None or not (math.isfinite(rate) and rate >= 0):
-            raise ConfigurationError(f"learning_rate must be in [0, inf), got {lr!r}")
+        rate = as_real(self.learning_rate, "learning_rate", ConfigurationError)
         object.__setattr__(self, "learning_rate", rate)

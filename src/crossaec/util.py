@@ -1,8 +1,9 @@
 """Small shared helpers: the argument rules and canonical JSON hashing. Each
 rule has one implementation: ``as_number`` (which values are ints or floats),
-``as_count`` (an int >= a floor, else the caller's error), ``as_array`` (an
-int64 or float64 array of such numbers, else the caller's error) and
-``token_ids`` (integer ids inside the vocabulary)."""
+``as_count`` (an int >= a floor, else the caller's error), ``as_real`` (a
+finite float >= 0, else the caller's error), ``as_array`` (an int64 or float64
+array of such numbers, else the caller's error) and ``token_ids`` (integer ids
+inside the vocabulary)."""
 
 from __future__ import annotations
 
@@ -34,6 +35,14 @@ def as_count(value, name: str, error: type, floor: int = 1) -> int:
     if count is None or count < floor:
         raise error(f"{name} must be an integer >= {floor}, got {value!r}")
     return count
+
+
+def as_real(value, name: str, error: type) -> float:
+    """``value`` as a plain finite float >= 0; anything else raises ``error``."""
+    real = as_number(value, float)
+    if real is None or not 0 <= real < np.inf:  # NaN fails both comparisons
+        raise error(f"{name} must be a finite number >= 0, got {value!r}")
+    return real
 
 
 _ARRAY_KINDS = {int: (np.int64, "integers", "i"), float: (np.float64, "numbers", "iuf")}

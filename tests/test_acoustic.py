@@ -99,8 +99,6 @@ def test_prototype_table_rejects_unequal_dimensions():
 def test_prototype_table_rejects_zero_width_prototypes():
     with pytest.raises(ShapeError):
         PrototypeTable(prototypes={"a": np.zeros(0)}, noise_sigma=0.1)
-    with pytest.raises(ShapeError):
-        build_prototypes(["a", "b"], 0, 0.1, seed=0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -110,93 +108,6 @@ def test_prototype_table_rejects_non_finite_prototype(bad):
         PrototypeTable(prototypes=prototypes, noise_sigma=0.1)
     with pytest.raises(DegenerateInputError, match="'a'"):
         PrototypeTable(prototypes={"a": [bad, 1.0]}, noise_sigma=0.1)
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [["1.5", "2.0"], [True, False], [1.0, True], np.array(["1", "2"]), [[1.0], [2.0, 3.0]]],
-    ids=["numeric-strings", "bools", "float-and-bool", "string-array", "ragged"],
-)
-def test_prototype_table_rejects_non_numeric_prototype(bad):
-    with pytest.raises(ShapeError, match="prototype for 'b' must be numbers"):
-        PrototypeTable(prototypes={"a": [1.0, 2.0], "b": bad}, noise_sigma=0.1)
-
-
-@pytest.mark.parametrize(
-    "bad, error",
-    [
-        (math.nan, DegenerateInputError),
-        (math.inf, DegenerateInputError),
-        ("x", ShapeError),
-        (None, ShapeError),
-        (True, ShapeError),
-    ],
-    ids=["nan", "inf", "str", "none", "bool"],
-)
-def test_prototype_table_rejects_non_finite_noise_sigma(bad, error):
-    with pytest.raises(error, match="noise_sigma"):
-        PrototypeTable(prototypes={"a": np.zeros(3), "b": np.ones(3)}, noise_sigma=bad)
-    with pytest.raises(error, match="noise_sigma"):
-        build_prototypes(["a", "b"], 4, bad, 0)
-
-
-@pytest.mark.parametrize(
-    "sigma, plain",
-    [(np.float32(0.5), 0.5), (np.float64(0.5), 0.5), (np.int64(0), 0.0), (0, 0.0)],
-    ids=["float32", "float64", "int64", "int"],
-)
-def test_prototype_table_stores_noise_sigma_as_plain_float(sigma, plain):
-    table = PrototypeTable(prototypes={"a": np.zeros(3)}, noise_sigma=sigma)
-    assert type(table.noise_sigma) is float and table.noise_sigma == plain
-
-
-def _frames_per_word(n):
-    frames, bounds = synth_frames(["red", "blue"], _table(), n, rng_seed=4)
-    return frames.tolist(), bounds.tolist()
-
-
-def _target_len(n):
-    return fft_resample(np.arange(12.0).reshape(6, 2), n).tolist()
-
-
-def _clusters(n):
-    table = build_prototypes(["a", "b", "c"], 6, 0.1, seed=5, clusters=n)
-    return {w: v.tolist() for w, v in table.prototypes.items()}
-
-
-def _feature_dim(n):
-    table = build_prototypes(["a", "b"], n, 0.1, seed=5)
-    return {w: v.tolist() for w, v in table.prototypes.items()}
-
-
-def _pad_len(n):
-    seq = pad_dsu(np.ones((1, 3)), n)
-    return seq.vectors.tolist(), seq.pad_mask.tolist()
-
-
-# Each integer argument of the acoustic functions, as a call returning JSON,
-# keyed by the argument's name (after the function's, where two share one).
-INTEGER_SITES = {
-    "frames_per_word": _frames_per_word,
-    "target_len": _target_len,
-    "clusters": _clusters,
-    "feature_dim": _feature_dim,
-    "pad_dsu.target_len": _pad_len,
-}
-
-
-@pytest.mark.parametrize("to_numpy", [np.int64, np.int32])
-@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
-def test_integer_arguments_take_numpy_integers(site, to_numpy):
-    call = INTEGER_SITES[site]
-    assert stable_hash(call(to_numpy(2))) == stable_hash(call(2))
-
-
-@pytest.mark.parametrize("bad", [True, 2.5, "2", 0], ids=["bool", "float", "str", "zero"])
-@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
-def test_integer_arguments_reject_non_integers(site, bad):
-    with pytest.raises(ShapeError, match=site.split(".")[-1]):
-        INTEGER_SITES[site](bad)
 
 
 def test_list_prototypes_give_the_frames_of_array_prototypes():
@@ -360,27 +271,11 @@ def test_validate_boundaries_out_of_range():
 
 
 @pytest.mark.parametrize(
-    "span", [(0, 1.5), (True, 2), (0, "2"), (0, None)], ids=["float", "bool", "str", "none"]
-)
-def test_mean_pool_rejects_non_integer_span_ends(span):
-    with pytest.raises(AlignmentError, match="integers"):
-        mean_pool_awe(np.zeros((4, 2)), [span])
-
-
-@pytest.mark.parametrize(
     "boundaries", [5, None, np.array([0, 2])], ids=["int", "none", "1d-array"]
 )
 def test_mean_pool_rejects_boundaries_that_are_not_pairs(boundaries):
     with pytest.raises(AlignmentError):
         mean_pool_awe(np.zeros((4, 2)), boundaries)
-
-
-def test_mean_pool_takes_numpy_integer_span_ends():
-    frames = np.random.default_rng(3).normal(size=(4, 2))
-    spans = [(np.int64(0), np.int32(2)), (np.uint8(2), np.int64(4))]
-    np.testing.assert_array_equal(
-        mean_pool_awe(frames, spans), mean_pool_awe(frames, [(0, 2), (2, 4)])
-    )
 
 
 # Each function taking a (rows, dim) frame or word-vector matrix, called on
@@ -397,22 +292,6 @@ MATRIX_SITES = {
 def test_matrix_inputs_must_be_2d(site, shape):
     with pytest.raises(ShapeError, match="2D"):
         MATRIX_SITES[site](np.zeros(shape))
-
-
-NON_NUMERIC_MATRICES = {
-    "numeric-strings": [["1.5", "2"], ["3", "4"]],
-    "bools": [[True, False], [False, True]],
-    "float-and-bool": [[1.0, True], [2.0, 3.0]],
-    "bool-array": np.ones((2, 2), dtype=bool),
-    "ragged": [[1.0], [2.0, 3.0]],
-}
-
-
-@pytest.mark.parametrize("case", sorted(NON_NUMERIC_MATRICES))
-@pytest.mark.parametrize("site", sorted(MATRIX_SITES))
-def test_matrix_inputs_must_be_numbers(site, case):
-    with pytest.raises(ShapeError, match="must be numbers"):
-        MATRIX_SITES[site](NON_NUMERIC_MATRICES[case])
 
 
 def test_fft_resample_rejects_zero_frames():
@@ -498,6 +377,6 @@ def test_mean_pool_values_are_pinned():
 
 
 def test_validate_boundaries_returns_the_spans_as_an_int64_array():
-    spans = validate_boundaries([(np.uint8(0), 2), (3, np.int32(5))], 6)
+    spans = validate_boundaries([(np.uint8(0), np.int64(2)), (3, np.int32(5))], 6)
     assert spans.dtype == np.int64 and spans.tolist() == [[0, 2], [3, 5]]
     assert validate_boundaries([], 6).shape == (0, 2)

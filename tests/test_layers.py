@@ -1,17 +1,11 @@
 """Layer-level contracts: gradcheck per layer type, Adam, a numpy attention oracle."""
 
 import math
-import re
 
 import numpy as np
 import pytest
 
-from crossaec.errors import (
-    ConfigurationError,
-    DegenerateInputError,
-    ShapeError,
-    VocabularyError,
-)
+from crossaec.errors import ConfigurationError, DegenerateInputError, ShapeError
 from crossaec.nn.config import ModelConfig, OptimizerConfig
 from crossaec.nn.gradcheck import gradient_check
 from crossaec.nn.layers import (
@@ -29,14 +23,12 @@ from crossaec.nn.params import ParameterStore
 from crossaec.nn.tensor import (
     Tensor,
     _make,
-    add,
     attention,
     cross_entropy,
     linear,
     tanh,
     tensor_sum,
 )
-from crossaec.util import stable_hash
 
 
 def _attend(q, k, v, key_mask=None):
@@ -144,16 +136,6 @@ def test_cross_entropy_loss_all_masked_rejected():
         )
 
 
-@pytest.mark.parametrize("bad", [-1, 5], ids=["negative", "vocab-size"])
-def test_cross_entropy_loss_rejects_ids_outside_vocabulary(bad):
-    with pytest.raises(VocabularyError):
-        cross_entropy_loss(
-            Tensor(np.zeros((1, 2, 5))),
-            np.array([[bad, 0]]),
-            np.ones((1, 2), dtype=bool),
-        )
-
-
 @pytest.mark.parametrize(
     "target_shape, mask_shape",
     [((1, 2), (1, 3)), ((1, 3), (1, 2)), ((1, 2), (1, 1))],
@@ -166,13 +148,6 @@ def test_cross_entropy_loss_rejects_mismatched_shapes(target_shape, mask_shape):
             np.zeros(target_shape, dtype=np.int64),
             np.ones(mask_shape, dtype=bool),
         )
-
-
-@pytest.mark.parametrize("bad", [-1, 5], ids=["negative", "vocab-size"])
-def test_embedding_rejects_ids_outside_vocabulary(bad):
-    emb = Embedding(ParameterStore(), "emb", 5, 4, _tiny_rng())
-    with pytest.raises(VocabularyError):
-        emb(np.array([[0, bad]]))
 
 
 def test_decoder_over_empty_memory_is_degenerate():
@@ -374,12 +349,14 @@ def test_gradcheck_deterministic():
     assert r1 == r2
 
 
-def test_adam_zero_gradient_leaves_parameters():
+def test_adam_leaves_parameters_with_zero_or_no_gradient():
     store = ParameterStore()
     p = store.create("p", np.array([1.0, 2.0]))
+    unused = store.create("unused", np.array([3.0]))
     p.grad = np.zeros(2)
     AdamOptimizer(store, OptimizerConfig(learning_rate=0.1)).step()
-    np.testing.assert_allclose(p.data, [1.0, 2.0])
+    np.testing.assert_array_equal(p.data, [1.0, 2.0])
+    assert unused.grad is None and unused.data.tolist() == [3.0]
 
 
 def test_adam_single_step_matches_hand_formula():
@@ -394,40 +371,9 @@ def test_adam_single_step_matches_hand_formula():
     assert abs(p.data[0] - expected) < 1e-15
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [math.nan, math.inf, -math.inf, "0.1", None, True],
-    ids=["nan", "inf", "-inf", "str", "none", "bool"],
-)
-def test_optimizer_config_rejects_bad_learning_rate(bad):
-    with pytest.raises(ConfigurationError, match=re.escape(f"got {bad!r}")):
-        OptimizerConfig(learning_rate=bad)
-
-
-@pytest.mark.parametrize(
-    "rate, plain",
-    [(np.float32(0.5), 0.5), (np.float64(0.5), 0.5), (np.int64(1), 1.0), (2, 2.0)],
-    ids=["float32", "float64", "int64", "int"],
-)
-def test_optimizer_config_stores_learning_rate_as_plain_float(rate, plain):
-    lr = OptimizerConfig(learning_rate=rate).learning_rate
-    assert type(lr) is float and lr == plain
-
-
-@pytest.mark.parametrize("to_numpy", [np.int64, np.int32, np.uint16])
-def test_model_config_stores_numpy_integers_as_plain_ints(to_numpy):
-    plain = ModelConfig(model_dim=32, num_heads=2, vocab_size=50, seed=3)
-    cfg = ModelConfig(**{k: to_numpy(v) for k, v in plain.to_dict().items()})
-    assert cfg == plain
-    assert all(type(v) is int for v in cfg.to_dict().values())
-    assert stable_hash(cfg.to_dict()) == stable_hash(plain.to_dict())
-
-
 def test_model_config_validation():
     with pytest.raises(ConfigurationError):
         ModelConfig(model_dim=10, num_heads=4)
-    with pytest.raises(ConfigurationError):
-        ModelConfig(vocab_size=0)
     cfg = ModelConfig()
     assert cfg.model_dim % cfg.num_heads == 0
 
@@ -441,25 +387,14 @@ def test_model_config_dict_round_trip():
     "data, named",
     [
         ({"model_dim": 64, "dropout": 0.1}, "dropout"),
-        ({"model_dim": "64"}, "model_dim"),
-        ({"num_heads": 2.0}, "num_heads"),
-        ({"num_heads": 2.5}, "num_heads"),
-        ({"model_dim": np.float64(64.0)}, "model_dim"),
-        ({"encoder_layers": True}, "encoder_layers"),
-        ({"seed": None}, "seed"),
-        ({"seed": -1}, "seed"),
         ([], "JSON object"),
         (None, "JSON object"),
         (5, "JSON object"),
         ("ab", "JSON object"),
     ],
-    ids=[
-        "unknown-key", "string", "float", "fraction", "numpy-float", "bool",
-        "none-seed", "negative-seed",
-        "list", "none", "int", "str",
-    ],
+    ids=["unknown-key", "list", "none", "int", "str"],
 )
-def test_model_config_from_dict_rejects_bad_keys_and_types(data, named):
+def test_model_config_from_dict_rejects_bad_keys_and_non_objects(data, named):
     with pytest.raises(ConfigurationError, match=named):
         ModelConfig.from_dict(data)
 
@@ -469,6 +404,12 @@ def _store(values):
     for name, value in values.items():
         store.create(name, value)
     return store
+
+
+def test_parameter_names_are_unique():
+    store = _store({"w": np.zeros(2)})
+    with pytest.raises(ShapeError, match="duplicate parameter name: w"):
+        store.create("w", np.ones(2))
 
 
 def test_state_dict_round_trip_returns_copies():
@@ -517,25 +458,3 @@ def test_load_state_dict_rejects_non_mapping(bad):
     with pytest.raises(ShapeError, match="state must be a mapping"):
         store.load_state_dict(bad)
     np.testing.assert_array_equal(store.state_dict()["w"], [0.0, 0.0])
-
-
-NON_NUMERIC = {
-    "string": ["a", 1.0],
-    "dict": [{"x": 1}, 1.0],
-    "numeric-strings": ["1.5", "2"],
-    "bools": [True, False],
-    "float-and-bool": [1.0, True],
-    "int-and-bool": [[2, True]],
-    "string-array": np.array(["3", "4"]),
-    "object-array": np.array([1.0, 2.0], dtype=object),
-    "ragged": [[1.0], [2.0, 3.0]],
-    "ragged-arrays": [np.zeros((2, 2)), np.zeros((2, 3))],
-}
-
-
-@pytest.mark.parametrize("case", sorted(NON_NUMERIC))
-def test_load_state_dict_rejects_non_numeric_values(case):
-    store = _store({"w": np.zeros(2), "b": np.ones(2)})
-    with pytest.raises(ShapeError, match="value for w must be numbers"):
-        store.load_state_dict({"b": [0.0, 0.0], "w": NON_NUMERIC[case]})
-    np.testing.assert_array_equal(store.state_dict()["b"], [1.0, 1.0])

@@ -155,9 +155,11 @@ def test_wer_empty_hypotheses_is_hundred():
     assert MetricsReport.compute([(["a", "b"], []), (["c"], [])]).wer == 100.0
 
 
-def test_wer_zero_reference_rejected():
+def test_zero_reference_words_rejected():
     with pytest.raises(DegenerateInputError):
         MetricsReport.compute([])
+    with pytest.raises(DegenerateInputError, match="GLEU over zero reference words"):
+        gleu([([], ["a"])])
 
 
 def test_bleu_identical_corpus_is_hundred():

@@ -1,24 +1,34 @@
 """Package-wide checks: no module imports a name it never uses (so nothing is
 re-exported, and every name has one import path) or defines a private name it
 never reads, every public name of the package has a caller outside the tests
-or a named reservation, only ``util`` writes the bool and dtype rules, and
-every count argument fails with the count rule's message."""
+or a named reservation, and only ``util`` writes the bool and dtype rules.
+Each argument rule of ``util`` (count, real, array, id) has one table of the
+sites that call it, and every site runs every case of its rule."""
 
 import ast
-import json
-from dataclasses import fields
+import math
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import crossaec
-from crossaec.acoustic import build_prototypes, fft_resample, pad_dsu, synth_frames
-from crossaec.errors import ConfigurationError, ShapeError, VocabularyError
-from crossaec.nn.config import ModelConfig
-from crossaec.nn.tensor import Tensor, attention
-from crossaec.text import Vocabulary, encode
-from crossaec.util import as_number, token_ids
+from crossaec.acoustic import (
+    PrototypeTable,
+    build_prototypes,
+    fft_resample,
+    mean_pool_awe,
+    pad_dsu,
+    synth_frames,
+)
+from crossaec.errors import AlignmentError, ConfigurationError, ShapeError, VocabularyError
+from crossaec.nn.config import ModelConfig, OptimizerConfig
+from crossaec.nn.layers import Embedding, cross_entropy_loss
+from crossaec.nn.params import ParameterStore
+from crossaec.nn.tensor import Tensor, attention, cross_entropy, embedding_lookup
+from crossaec.text import Vocabulary, decode, encode
+from crossaec.util import stable_hash, token_ids
 
 PACKAGE = Path(crossaec.__file__).parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
@@ -242,18 +252,28 @@ COUNT_SITES = {
 }
 
 
-@pytest.mark.parametrize("bad", ["bool", "float", "str", "below-floor"])
+@pytest.mark.parametrize(
+    "bad", ["bool", "numpy-bool", "float", "whole-float", "numpy-float", "str", "below-floor"]
+)
 @pytest.mark.parametrize("site", sorted(COUNT_SITES))
 def test_count_arguments_fail_with_the_count_rule_message(site, bad):
     error, floor, call = COUNT_SITES[site]
-    value = {"bool": True, "float": 2.5, "str": "2", "below-floor": floor - 1}[bad]
+    value = {
+        "bool": True,
+        "numpy-bool": np.bool_(True),
+        "float": 2.5,
+        "whole-float": 2.0,
+        "numpy-float": np.float64(2.0),
+        "str": "2",
+        "below-floor": floor - 1,
+    }[bad]
     with pytest.raises(error) as caught:
         call(value)
     name = site.split(".")[-1]
     assert str(caught.value) == f"{name} must be an integer >= {floor}, got {value!r}"
 
 
-@pytest.mark.parametrize("site", ["build_prototypes.seed", "rng_seed"])
+@pytest.mark.parametrize("site", ["build_prototypes.seed", "rng_seed", "ModelConfig.seed"])
 def test_seeds_reject_none(site):
     # numpy would draw OS entropy for None, so the values would change per run.
     error, _, call = COUNT_SITES[site]
@@ -261,53 +281,177 @@ def test_seeds_reject_none(site):
         call(None)
 
 
+def _plain(value):
+    """``value`` with tensors and arrays as lists and dataclasses as dicts, so
+    ``stable_hash`` can read it; a stored numpy scalar stays and fails the hash."""
+    if isinstance(value, Tensor):
+        value = value.data
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if is_dataclass(value):
+        value = vars(value)
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("to_numpy", [np.int64, np.int32, np.uint16])
+@pytest.mark.parametrize("site", sorted(COUNT_SITES))
+def test_count_arguments_take_numpy_integers(site, to_numpy):
+    # 4 suits every site: ModelConfig's model_dim must split into its 4 heads.
+    call = COUNT_SITES[site][2]
+    assert stable_hash(_plain(call(to_numpy(4)))) == stable_hash(_plain(call(4)))
+
+
+# Each real argument, keyed like the counts: (error type, a call passing the
+# value to that argument and returning it as stored).
+REAL_SITES = {
+    "learning_rate": (ConfigurationError, lambda x: OptimizerConfig(x).learning_rate),
+    "PrototypeTable.noise_sigma": (
+        ShapeError,
+        lambda x: PrototypeTable({"a": [1.0]}, x).noise_sigma,
+    ),
+    "build_prototypes.noise_sigma": (
+        ShapeError,
+        lambda x: build_prototypes(["a"], 2, x, 0).noise_sigma,
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "value, kind, plain",
+    "bad",
+    [math.nan, math.inf, -math.inf, -0.5, "0.1", None, True, 1j, 10**400],
+    ids=["nan", "inf", "-inf", "negative", "str", "none", "bool", "complex", "int-past-float"],
+)
+@pytest.mark.parametrize("site", sorted(REAL_SITES))
+def test_real_arguments_fail_with_the_real_rule_message(site, bad):
+    error, call = REAL_SITES[site]
+    with pytest.raises(error) as caught:
+        call(bad)
+    name = site.split(".")[-1]
+    assert str(caught.value) == f"{name} must be a finite number >= 0, got {bad!r}"
+
+
+@pytest.mark.parametrize(
+    "value, plain",
     [
-        (3, int, 3),
-        (np.int64(3), int, 3),
-        (np.uint8(3), int, 3),
-        (np.int32(3), float, 3.0),
-        (2.5, float, 2.5),
-        (np.float32(0.5), float, 0.5),
-        (np.float64(0.5), float, 0.5),
+        (np.float32(0.5), 0.5),
+        (np.float64(0.5), 0.5),
+        (2.5, 2.5),
+        (np.int32(1), 1.0),
+        (np.int64(1), 1.0),
+        (2, 2.0),
+    ],
+    ids=["float32", "float64", "float", "int32", "int64", "int"],
+)
+@pytest.mark.parametrize("site", sorted(REAL_SITES))
+def test_real_arguments_are_stored_as_plain_floats(site, value, plain):
+    stored = REAL_SITES[site][1](value)
+    assert type(stored) is float and stored == plain
+
+
+def _load_w(value):
+    store = ParameterStore()
+    store.create("w", np.zeros(2))
+    store.load_state_dict({"w": value})
+
+
+_WEIGHT = Tensor(np.zeros((5, 2)))
+
+# Each array argument: (error type, the name and the word of its message, a
+# call passing the array to that argument).
+ARRAY_SITES = {
+    "mean_pool_awe": (ShapeError, "frames", "numbers", lambda v: mean_pool_awe(v, [(0, 1)])),
+    "pad_dsu": (ShapeError, "awe", "numbers", lambda v: pad_dsu(v, 4)),
+    "fft_resample": (ShapeError, "frames", "numbers", lambda v: fft_resample(v, 4)),
+    "prototype": (
+        ShapeError,
+        "prototype for 'a'",
+        "numbers",
+        lambda v: PrototypeTable({"a": v}, 0.1),
+    ),
+    "load_state_dict": (ShapeError, "value for w", "numbers", _load_w),
+    "span-ends": (
+        AlignmentError,
+        "boundary ends",
+        "integers",
+        lambda v: mean_pool_awe(np.zeros((4, 2)), v),
+    ),
+    "token-ids": (VocabularyError, "token ids", "integers", lambda v: token_ids(v, 5)),
+}
+
+NON_NUMBERS = {
+    "numeric-strings": [["1.5", "2"], ["3", "4"]],
+    "string": [["a", 1.0]],
+    "dict": [[{"x": 1}, 1.0]],
+    "none": [[0, None]],
+    "bools": [[True, False], [False, True]],
+    "float-and-bool": [[1.0, True], [2.0, 3.0]],
+    "int-and-bool": [[2, True], [3, 4]],
+    "bool-array": np.ones((2, 2), dtype=bool),
+    "string-array": np.array([["3", "4"]]),
+    "object-array": np.ones((2, 2), dtype=object),
+    "ragged-rows": [[1.0], [2.0, 3.0]],
+    "ragged-arrays": [np.zeros((2, 2)), np.zeros((2, 3))],
+    "float": [[0, 1.5]],  # refused by the integer sites only
+}
+
+
+@pytest.mark.parametrize(
+    "site, case",
+    [
+        (site, case)
+        for site, (_, _, word, _) in sorted(ARRAY_SITES.items())
+        for case in sorted(NON_NUMBERS)
+        if case != "float" or word == "integers"
     ],
 )
-def test_as_number_returns_plain_numbers(value, kind, plain):
-    number = as_number(value, kind)
-    assert type(number) is kind and number == plain
-    assert json.dumps(number) == json.dumps(plain)
+def test_array_arguments_must_be_numbers(site, case):
+    error, name, word, call = ARRAY_SITES[site]
+    with pytest.raises(error) as caught:
+        call(NON_NUMBERS[case])
+    assert str(caught.value).startswith(f"{name} must be {word}, got ")
 
 
-@pytest.mark.parametrize(
-    "value, kind",
-    [
-        (True, int),
-        (np.bool_(True), int),
-        (False, float),
-        (2.5, int),
-        (np.float64(2.0), int),
-        ("2", int),
-        ("2", float),
-        (None, float),
-        (1j, float),
-        pytest.param(10**400, float, id="int-too-large-for-float"),
-    ],
-)
-def test_as_number_rejects_bool_and_non_numbers(value, kind):
-    assert as_number(value, kind) is None
+_VOCAB = Vocabulary(["a"])  # 5 ids: the four specials, then "a"
+_LOGITS = Tensor(np.zeros((1, 2, 5)))
+_EMBEDDING = Embedding(ParameterStore(), "emb", 5, 2, np.random.default_rng(0))
+
+# Each function taking token ids, called on a list of two ids whose last may be
+# bad (``word_of`` takes that one alone).
+ID_SITES = {
+    "token_ids": lambda ids: token_ids(ids, 5),
+    "embedding_lookup": lambda ids: embedding_lookup(_WEIGHT, [ids]),
+    "Embedding": lambda ids: _EMBEDDING([ids]),
+    "cross_entropy": lambda ids: cross_entropy(_LOGITS, [ids], np.ones((1, 2))),
+    "cross_entropy_loss": lambda ids: cross_entropy_loss(_LOGITS, [ids], np.ones((1, 2))),
+    "Vocabulary.word_of": lambda ids: _VOCAB.word_of(ids[-1]),
+    "decode": lambda ids: decode(_VOCAB, ids),
+}
+
+# The ids, and the message of the VocabularyError every site raises for them.
+BAD_IDS = {
+    "negative": ([0, -1], "id -1 outside vocabulary of size 5"),
+    "vocab-size": ([0, 5], "id 5 outside vocabulary of size 5"),
+    "float": ([0, 1.5], "token ids must be integers, got 1.5"),
+    "whole-float": ([0, 2.0], "token ids must be integers, got 2.0"),
+    "bools": ([True, True], "token ids must be integers, got True"),
+    # numpy reads [0, True] as int64 [0, 1]; the elements show the bool.
+    "int-and-bool": ([np.int64(0), True], "token ids must be integers, got True"),
+    "past-int64": ([0, 2**63], f"token ids must fit in int64, got {2**63}"),
+    "past-int64-uint64-array": (
+        np.array([0, 2**63], dtype=np.uint64),
+        f"token ids must fit in int64, got {2**63}",
+    ),
+}
 
 
-@pytest.mark.parametrize("ids", [[2, True], [[1, 2], [False, 3]], (np.int64(1), True)])
-def test_token_ids_reject_a_bool_mixed_into_integers(ids):
-    # np.asarray reads these as int64 arrays; the elements show the bool.
-    with pytest.raises(VocabularyError, match="must be integers, got (True|False)"):
-        token_ids(ids, 5)
-
-
-@pytest.mark.parametrize(
-    "ids", [np.array([1, 2**63], dtype=np.uint64), [1, 2**63]], ids=["uint64-array", "list"]
-)
-def test_token_ids_name_an_id_too_large_for_int64(ids):
-    with pytest.raises(VocabularyError, match=f"must fit in int64, got {2**63}$"):
-        token_ids(ids, 5)
+@pytest.mark.parametrize("case", sorted(BAD_IDS))
+@pytest.mark.parametrize("site", sorted(ID_SITES))
+def test_id_arguments_fail_with_the_id_rule_message(site, case):
+    ids, message = BAD_IDS[case]
+    with pytest.raises(VocabularyError) as caught:
+        ID_SITES[site](ids)
+    assert str(caught.value) == message

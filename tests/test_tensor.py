@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from crossaec.errors import ShapeError, VocabularyError
+from crossaec.errors import ShapeError, StateError
 from crossaec.nn import tensor
 from crossaec.nn.tensor import (
     Tensor,
@@ -133,36 +133,16 @@ def test_cross_entropy_rejects_weights_that_do_not_fit_targets():
         )
 
 
-_WEIGHT_3X2 = Tensor(np.arange(6.0).reshape(3, 2))
-OUT_OF_VOCABULARY = {
-    "embedding-negative": lambda: embedding_lookup(_WEIGHT_3X2, [[-1]]),
-    "embedding-vocab-size": lambda: embedding_lookup(_WEIGHT_3X2, [[3]]),
-    "embedding-float": lambda: embedding_lookup(_WEIGHT_3X2, [[1.7]]),
-    "embedding-bool": lambda: embedding_lookup(_WEIGHT_3X2, [[True]]),
-    "embedding-int-and-bool": lambda: embedding_lookup(_WEIGHT_3X2, [[2, True]]),
-    "cross-entropy-negative": lambda: cross_entropy(
-        Tensor(np.zeros((1, 2, 5))), [[-1, 0]], np.ones((1, 2))
-    ),
-    "cross-entropy-float": lambda: cross_entropy(
-        Tensor(np.zeros((1, 2, 5))), [[0.5, 1.9]], np.ones((1, 2))
-    ),
-    "cross-entropy-bool": lambda: cross_entropy(
-        Tensor(np.zeros((1, 2, 5))), [[True, False]], np.ones((1, 2))
-    ),
-    "cross-entropy-int-and-bool": lambda: cross_entropy(
-        Tensor(np.zeros((1, 2, 5))), [[0, True]], np.ones((1, 2))
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(OUT_OF_VOCABULARY))
-def test_primitives_reject_ids_outside_vocabulary(case):
-    with pytest.raises(VocabularyError):
-        OUT_OF_VOCABULARY[case]()
-
-
 def test_embedding_of_no_ids_is_empty():
-    assert embedding_lookup(_WEIGHT_3X2, np.zeros((1, 0))).data.shape == (1, 0, 2)
+    assert embedding_lookup(Tensor(np.ones((3, 2))), np.zeros((1, 0))).data.shape == (1, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "x_shape, bias_shape, part", [((2, 4), (3,), "input"), ((2, 5), (4,), "bias")]
+)
+def test_linear_rejects_input_or_bias_that_does_not_fit_the_weight(x_shape, bias_shape, part):
+    with pytest.raises(ShapeError, match=f"linear {part}"):
+        linear(Tensor(np.ones(x_shape)), Tensor(np.ones((5, 3))), Tensor(np.ones(bias_shape)))
 
 
 def test_cross_entropy_grad():
@@ -170,6 +150,13 @@ def test_cross_entropy_grad():
     ids = rng.integers(0, 5, size=(2, 3))
     w = rng.random((2, 3))
     check_op(lambda x: cross_entropy(x, ids, w), logits)
+
+
+def test_backward_needs_a_scalar_with_a_graph():
+    with pytest.raises(ShapeError, match="scalar"):
+        tanh(Tensor(np.ones(2), requires_grad=True)).backward()
+    with pytest.raises(StateError, match="no recorded graph"):
+        tensor_sum(Tensor(np.ones(2))).backward()
 
 
 def test_gradient_zero_for_unused_parameter():
