@@ -7,16 +7,17 @@ drives WER and the per-type error counts.
 source of WER. Its words are mapped to integers once. The Levenshtein
 tables of all pairs are built together in numpy, one reference row per
 step, in chunks of pairs sorted by length; a per-pair backtrace in
-Python then reads off the S/I/D counts. Each sentence's 1..4-grams are
-counted once, and the clipped matches feed both BLEU's corpus totals and
-the sentence GLEU overlap. ``edit_ops``, ``bleu`` and ``gleu`` call the
-same table, backtrace and n-gram code.
+Python then reads off the S/I/D counts. The 1..4-grams of the whole
+corpus are counted in one numpy pass into a (pairs, orders) table of
+clipped matches, which feeds both BLEU's corpus totals and the sentence
+GLEU overlaps. ``edit_ops``, ``bleu`` and ``gleu`` map their words to
+integers the same way and call the same table, backtrace and n-gram code.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -148,66 +149,68 @@ def edit_ops(ref_words: Sequence[str], hyp_words: Sequence[str]) -> Tuple[EditOp
     return tuple(ops)
 
 
-def _ngram_counts(words: Sequence) -> Counter:
-    """Every 1..MAX_N-gram of a sentence in one Counter (orders never collide)."""
-    counts: Counter = Counter()
-    for n in range(1, MAX_N + 1):
-        counts.update(zip(*[words[k:] for k in range(n)]))
-    return counts
+def _clipped_table(id_pairs: Sequence[IdPair]) -> np.ndarray:
+    """Clipped n-gram matches, shape (pairs, MAX_N + 1): cell [k, n] counts pair
+    k's hyp n-grams found in its ref, at most as often as the ref holds each.
 
-
-def _clipped_matches(ref: Sequence, hyp: Sequence) -> List[int]:
-    """Hyp n-grams found in ref, clipped to the ref count, per order 1..MAX_N."""
-    ref_counts = _ngram_counts(ref)
-    matched = [0] * (MAX_N + 1)
-    for gram, count in _ngram_counts(hyp).items():
-        found = ref_counts.get(gram)
-        if found:
-            matched[len(gram)] += min(count, found)
-    return matched
-
-
-def _grams(length: int, n: int) -> int:
-    return max(length - n + 1, 0)
-
-
-def _gleu_of(overlap: int, ref_len: int, hyp_len: int) -> float:
-    """Sentence GLEU: min(n-gram precision, n-gram recall) over the
-    pooled 1..MAX_N grams."""
-    ref_total = sum(_grams(ref_len, n) for n in range(1, MAX_N + 1))
-    hyp_total = sum(_grams(hyp_len, n) for n in range(1, MAX_N + 1))
-    if ref_total == 0 or hyp_total == 0:
-        return 0.0
-    return min(overlap / hyp_total, overlap / ref_total)
-
-
-def _ngram_scores(
-    pairs: Iterable[Tuple[Sequence, Sequence]]
-) -> Tuple[float, float, int]:
-    """BLEU, the reference-weighted sum of sentence GLEU, and the reference
-    word count, from one n-gram count per sentence.
-
-    BLEU smoothing: for n >= 2 only, add one to numerator and denominator
-    when either is zero at the corpus level (tiny corpora otherwise hit
-    log 0).
+    All refs and hyps lie end to end in one id array. An n-gram's number
+    extends its (n-1)-gram's by the next word and is renumbered densely, so it
+    stays below T**2 for T words in all; grams running past their sentence's end
+    are dropped. One sort of the keys puts each gram's ref count beside its
+    hyp count.
     """
-    matched = [0] * (MAX_N + 1)
-    total = [0] * (MAX_N + 1)
-    ref_len = hyp_len = 0
+    sides = [words for pair in id_pairs for words in pair]
+    lengths = np.array([len(words) for words in sides], dtype=np.int64)
+    size = int(lengths.sum())
+    words = np.fromiter(itertools.chain.from_iterable(sides), np.int64, size)
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(size)
+    segment = np.arange(len(sides))  # 2 * pair + side
+    # Each key is ((pair * (MAX_N + 1) + n) * size + gram) * 2 + side.
+    base = np.repeat(segment // 2 * (MAX_N + 1) * 2 * size + segment % 2, lengths)
+    grams, keys = words, []
+    for n in range(1, MAX_N + 1):
+        if n > 1:
+            grams = np.unique(grams[:-1] * size + words[n - 1 :], return_inverse=True)[1]
+        fits = room[: len(grams)] >= n
+        keys.append(base[: len(grams)][fits] + (n * size + grams[fits]) * 2)
+    found, counts = np.unique(np.concatenate(keys), return_counts=True)
+    # Sorted keys put a gram's ref run (side 0) just before its hyp run.
+    both = found[1:] // 2 == found[:-1] // 2
+    matches = np.minimum(counts[1:], counts[:-1])[both]
+    cells = found[:-1][both] // (2 * size)
+    table = np.bincount(cells, matches, len(id_pairs) * (MAX_N + 1))
+    return table.astype(np.int64).reshape(-1, MAX_N + 1)
+
+
+def _ngram_scores(id_pairs: Sequence[IdPair]) -> Tuple[float, float, int]:
+    """BLEU, the reference-weighted sum of sentence GLEU, and the reference
+    word count, all read from the corpus's ``_clipped_table``.
+
+    Sentence GLEU is min(n-gram precision, n-gram recall) over the pooled
+    1..MAX_N grams, and 0 when either side has none; the weighted sum adds
+    the pairs in order. BLEU smoothing: for n >= 2 only, add one to
+    numerator and denominator when either is zero at the corpus level
+    (tiny corpora otherwise hit log 0).
+    """
+    clipped = _clipped_table(id_pairs)
+    lengths = np.array([(len(r), len(h)) for r, h in id_pairs], np.int64).reshape(-1, 2)
+    # grams[k, side, n - 1]: the n-grams of pair k's ref (side 0) or hyp (side 1).
+    grams = np.maximum(lengths[:, :, None] - np.arange(MAX_N), 0)
+    overlap = clipped.sum(axis=1)
+    # A side with no grams has no matches, so its pair scores 0 / 1.
+    pooled = np.maximum(grams.sum(axis=2), 1)
+    sentence = np.minimum(overlap / pooled[:, 1], overlap / pooled[:, 0])
     weighted = 0.0
-    for ref, hyp in pairs:
-        clipped = _clipped_matches(ref, hyp)
-        for n in range(1, MAX_N + 1):
-            matched[n] += clipped[n]
-            total[n] += _grams(len(hyp), n)
-        weighted += len(ref) * _gleu_of(sum(clipped), len(ref), len(hyp))
-        ref_len += len(ref)
-        hyp_len += len(hyp)
+    for value in (lengths[:, 0] * sentence).tolist():
+        weighted += value
+    ref_len, hyp_len = lengths.sum(axis=0).tolist()
     if hyp_len == 0:
         return 0.0, weighted, ref_len
     log_sum = 0.0
+    matched = clipped.sum(axis=0).tolist()
+    total = grams[:, 1].sum(axis=0).tolist()
     for n in range(1, MAX_N + 1):
-        num, den = matched[n], total[n]
+        num, den = matched[n], total[n - 1]
         if n >= 2 and (den == 0 or num == 0):
             num += 1
             den += 1
@@ -220,12 +223,12 @@ def _ngram_scores(
 
 def bleu(pairs: Iterable[Pair]) -> float:
     """Corpus BLEU on 0..100 with clipped n-gram counts."""
-    return _ngram_scores(pairs)[0]
+    return _ngram_scores(_word_ids(pairs))[0]
 
 
 def gleu(pairs: Iterable[Pair]) -> float:
     """Reference-token-weighted mean of sentence GLEU, on 0..100."""
-    _, weighted, ref_words = _ngram_scores(pairs)
+    _, weighted, ref_words = _ngram_scores(_word_ids(pairs))
     if ref_words == 0:
         raise DegenerateInputError("GLEU over zero reference words")
     return 100.0 * weighted / ref_words

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from crossaec.errors import DegenerateInputError
+from crossaec.errors import DegenerateInputError, ShapeError
 from crossaec.nn.config import ModelConfig
 from crossaec.nn.params import ParameterStore
 from crossaec.nn.tensor import (
@@ -29,6 +29,7 @@ from crossaec.nn.tensor import (
     linear,
     relu,
 )
+from crossaec.util import as_mask
 
 
 def init_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -203,7 +204,7 @@ def cross_entropy_loss(
     logits: Tensor, target_ids: np.ndarray, pad_mask: np.ndarray
 ) -> Tensor:
     """Mean negative log-likelihood over the unmasked positions."""
-    mask = np.asarray(pad_mask, dtype=bool)
+    mask = as_mask(pad_mask, "pad_mask", ShapeError)
     total = int(mask.sum())
     if total == 0:
         raise DegenerateInputError("loss over zero unmasked positions")

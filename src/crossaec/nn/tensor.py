@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from crossaec.errors import DegenerateInputError, ShapeError, StateError
-from crossaec.util import as_count, token_ids
+from crossaec.util import as_array, as_count, as_mask, token_ids
 
 _GRAD_ENABLED = True
 
@@ -227,7 +227,7 @@ def attention(
     num_heads = as_count(num_heads, "num_heads", ShapeError)
     if dim % num_heads:
         raise ShapeError(f"dim {dim} does not split into {num_heads} heads")
-    key_mask = np.asarray(key_mask, dtype=bool)
+    key_mask = as_mask(key_mask, "key_mask", ShapeError)
     if key_mask.shape != (batch, lk):
         raise ShapeError(f"key_mask {key_mask.shape} is not ({batch}, {lk})")
     dh = dim // num_heads
@@ -318,18 +318,23 @@ def cross_entropy(
 ) -> Tensor:
     """Weighted negative log-likelihood, summed into a scalar.
 
-    ``weights`` is a constant array of the shape of ``target_ids``; the
-    caller chooses the normalization (per-position mean, per-example
-    mean, ...). Every target id lies in [0, vocabulary size).
+    ``weights`` is a constant array of finite numbers >= 0, of the shape of
+    ``target_ids``; the caller chooses the normalization (per-position
+    mean, per-example mean, ...). Every target id lies in [0, vocabulary
+    size).
     """
     ids = token_ids(target_ids, logits.data.shape[-1])
     if ids.shape != logits.data.shape[:-1]:
         raise ShapeError(
             f"targets {ids.shape} do not match logits {logits.data.shape}"
         )
-    w = np.asarray(weights, dtype=np.float64)
+    w = as_array(weights, float, "weights", ShapeError)
     if w.shape != ids.shape:
         raise ShapeError(f"weights {w.shape} do not match targets {ids.shape}")
+    fit = (w >= 0) & (w < np.inf)  # NaN fails both comparisons
+    if not fit.all():
+        bad = float(w[~fit][0])
+        raise ShapeError(f"weights must be finite numbers >= 0, got {bad!r}")
     x = logits.data
     mx = x.max(axis=-1, keepdims=True)
     expd = x - mx

@@ -2,8 +2,9 @@
 rule has one implementation: ``as_number`` (which values are ints or floats),
 ``as_count`` (an int >= a floor, else the caller's error), ``as_real`` (a
 finite float >= 0, else the caller's error), ``as_array`` (an int64 or float64
-array of such numbers, else the caller's error) and ``token_ids`` (integer ids
-inside the vocabulary)."""
+array of such numbers, else the caller's error), ``as_mask`` (a bool array of
+bools, else the caller's error) and ``token_ids`` (integer ids inside the
+vocabulary)."""
 
 from __future__ import annotations
 
@@ -71,6 +72,21 @@ def as_array(values, kind: type, name: str, error: type) -> np.ndarray:
     except OverflowError:  # only int64 can: as_number took every float
         big = next(v for v in objects.flat if not -(2**63) <= int(v) < 2**63)
         raise error(f"{name} must fit in int64, got {big}") from None
+
+
+def as_mask(values, name: str, error: type) -> np.ndarray:
+    """``values`` as a bool array of bools, else ``error`` naming the first other
+    element, none read by its truthiness. A bool ndarray passes uncopied."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "b":
+        return values
+    try:
+        objects = np.asarray(values, dtype=object)
+    except ValueError:  # arrays whose shapes differ past the first axis
+        raise error(f"{name} must be booleans, got ragged rows") from None
+    bad = [v for v in objects.flat if not isinstance(v, (bool, np.bool_))]
+    if bad:
+        raise error(f"{name} must be booleans, got {bad[0]!r}")
+    return objects.astype(bool)
 
 
 def token_ids(ids, vocab_size: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossaec import metrics
@@ -17,6 +17,7 @@ from crossaec.metrics import (
     DELETE,
     INSERT,
     MATCH,
+    MAX_N,
     MetricsReport,
     SUBSTITUTE,
     bleu,
@@ -271,3 +272,47 @@ def test_report_matches_oracles_over_ragged_corpora(pairs):
     assert abs(report.bleu - reference.bleu(pairs)) < 1e-9
     assert abs(report.gleu - reference.gleu(pairs)) < 1e-9
     assert (report.bleu, report.gleu) == (bleu(pairs), gleu(pairs))
+
+
+SHORT = st.lists(st.sampled_from(("a", "b", "c")), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(SHORT, SHORT), max_size=8))
+@example([(["a"], ["b", "a", "b"])])  # a ref gram run on into its hyp would match
+@example([(["a", "b"], ["a"]), (["b"], [])])  # so would a hyp gram run on into the next ref
+def test_clipped_table_matches_the_oracle_per_pair_and_order(pairs):
+    # Three words and sentences mostly shorter than MAX_N: a gram counted
+    # across a sentence end, the ref/hyp seam or a pair boundary would match.
+    table = metrics._clipped_table(metrics._word_ids(pairs))
+    assert table.dtype == np.int64 and table.shape == (len(pairs), MAX_N + 1)
+    for row, (ref, hyp) in zip(table.tolist(), pairs):
+        assert row == [0] + [
+            reference.clipped_matches(reference.grams(ref, n), reference.grams(hyp, n))
+            for n in range(1, MAX_N + 1)
+        ]
+
+
+def test_bleu_gleu_past_the_vocabulary_where_polynomial_gram_keys_wrap():
+    """70,000 distinct words, past the 55,108 at which a base-W 4-gram key
+    ``((a * W + b) * W + c) * W + d`` overflows int64. The last pair's grams
+    collide under that key: its ref is word 0 four times, and its hyp spells
+    2**64 in base W, whose key wraps to 0."""
+    size = 70_000
+    words = [f"w{k}" for k in range(size)]
+    rng = np.random.default_rng(0)
+    pairs = []
+    for start in range(0, size, 5):
+        ref = words[start : start + 5]
+        hyp = list(ref)
+        # Only words already used: word k keeps id k, so W is exactly size.
+        for k in rng.choice(5, 2, replace=False):
+            hyp[k] = words[rng.integers(start + 5)]
+        pairs.append((ref, hyp))
+    digits, rest = [], 2**64
+    for _ in range(MAX_N):
+        rest, digit = divmod(rest, size)
+        digits.insert(0, words[digit])
+    pairs.append((words[:1] * MAX_N, digits))
+    assert abs(bleu(pairs) - reference.bleu(pairs)) < 1e-9
+    assert abs(gleu(pairs) - reference.gleu(pairs)) < 1e-9

@@ -2,8 +2,8 @@
 re-exported, and every name has one import path) or defines a private name it
 never reads, every public name of the package has a caller outside the tests
 or a named reservation, and only ``util`` writes the bool and dtype rules.
-Each argument rule of ``util`` (count, real, array, id) has one table of the
-sites that call it, and every site runs every case of its rule."""
+Each argument rule of ``util`` (count, real, array, mask, id) has one table of
+the sites that call it, and every site runs every case of its rule."""
 
 import ast
 import math
@@ -359,6 +359,7 @@ def _load_w(value):
 
 
 _WEIGHT = Tensor(np.zeros((5, 2)))
+_LOGITS = Tensor(np.zeros((1, 2, 5)))
 
 # Each array argument: (error type, the name and the word of its message, a
 # call passing the array to that argument).
@@ -380,6 +381,12 @@ ARRAY_SITES = {
         lambda v: mean_pool_awe(np.zeros((4, 2)), v),
     ),
     "token-ids": (VocabularyError, "token ids", "integers", lambda v: token_ids(v, 5)),
+    "weights": (
+        ShapeError,
+        "weights",
+        "numbers",
+        lambda v: cross_entropy(_LOGITS, [[0, 1]], v),
+    ),
 }
 
 NON_NUMBERS = {
@@ -415,8 +422,50 @@ def test_array_arguments_must_be_numbers(site, case):
     assert str(caught.value).startswith(f"{name} must be {word}, got ")
 
 
+# Each mask argument: the name in its message, and a call passing a (1, 2) mask
+# to it.
+MASK_SITES = {
+    "attention": ("key_mask", lambda m: attention(_SEQ, _SEQ, _SEQ, 1, m)),
+    "cross_entropy_loss": ("pad_mask", lambda m: cross_entropy_loss(_LOGITS, [[0, 1]], m)),
+}
+
+# Masks that numpy would read by truthiness: each must be refused, not read.
+NON_BOOLS = {
+    "strings": [["no", ""]],
+    "bool-and-string": [[True, "x"]],
+    "floats": [[0.5, 0.0]],
+    "ints": [[1, 0]],
+    "none": None,
+    "none-element": [[None, True]],
+    "int-array": np.ones((1, 2), dtype=np.int64),
+    "float-array": np.ones((1, 2)),
+    "string-array": np.array([["x", ""]]),
+    "object-array": np.ones((1, 2), dtype=object),
+    "ragged-rows": [[True], [True, False]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_BOOLS))
+@pytest.mark.parametrize("site", sorted(MASK_SITES))
+def test_mask_arguments_must_be_booleans(site, case):
+    name, call = MASK_SITES[site]
+    with pytest.raises(ShapeError) as caught:
+        call(NON_BOOLS[case])
+    assert str(caught.value).startswith(f"{name} must be booleans, got ")
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [[[True, False]], [[np.True_, np.False_]], np.array([[True, False]], dtype=object)],
+    ids=["list", "numpy-bools", "object-array"],
+)
+@pytest.mark.parametrize("site", sorted(MASK_SITES))
+def test_mask_arguments_read_bools_from_any_container(site, mask):
+    call = MASK_SITES[site][1]
+    np.testing.assert_array_equal(call(mask).data, call(np.array([[True, False]])).data)
+
+
 _VOCAB = Vocabulary(["a"])  # 5 ids: the four specials, then "a"
-_LOGITS = Tensor(np.zeros((1, 2, 5)))
 _EMBEDDING = Embedding(ParameterStore(), "emb", 5, 2, np.random.default_rng(0))
 
 # Each function taking token ids, called on a list of two ids whose last may be
@@ -426,7 +475,9 @@ ID_SITES = {
     "embedding_lookup": lambda ids: embedding_lookup(_WEIGHT, [ids]),
     "Embedding": lambda ids: _EMBEDDING([ids]),
     "cross_entropy": lambda ids: cross_entropy(_LOGITS, [ids], np.ones((1, 2))),
-    "cross_entropy_loss": lambda ids: cross_entropy_loss(_LOGITS, [ids], np.ones((1, 2))),
+    "cross_entropy_loss": lambda ids: cross_entropy_loss(
+        _LOGITS, [ids], np.ones((1, 2), dtype=bool)
+    ),
     "Vocabulary.word_of": lambda ids: _VOCAB.word_of(ids[-1]),
     "decode": lambda ids: decode(_VOCAB, ids),
 }

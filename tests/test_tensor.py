@@ -133,6 +133,15 @@ def test_cross_entropy_rejects_weights_that_do_not_fit_targets():
         )
 
 
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, -0.5], ids=["nan", "inf", "-inf", "negative"]
+)
+def test_cross_entropy_rejects_weights_that_are_not_finite_and_non_negative(bad):
+    with pytest.raises(ShapeError) as caught:
+        cross_entropy(Tensor(np.zeros((1, 2, 5))), np.zeros((1, 2), dtype=int), [[1.0, bad]])
+    assert str(caught.value) == f"weights must be finite numbers >= 0, got {bad!r}"
+
+
 def test_embedding_of_no_ids_is_empty():
     assert embedding_lookup(Tensor(np.ones((3, 2))), np.zeros((1, 0))).data.shape == (1, 0, 2)
 
