@@ -3,28 +3,24 @@
 Frames stand in for self-supervised speech features: each spoken word
 contributes a run of frames drawn from its prototype vector plus noise.
 Frames are made in memory from a ``PrototypeTable`` and a seed and never
-touch disk, so the table is where non-finite values are rejected.
-Word-level acoustic vectors are means over boundary intervals, and
-``mean_pool_awe`` is where those intervals are checked against the
-frames. It pools every span of an utterance with one gather and adds
-each span's frames in frame order, so a span's vector is the same
-whatever other spans share the call. The continuous baselines are
-Fourier-resampled frame sequences.
+touch disk. Every float array that enters, a prototype or a frame matrix,
+must be finite (``util.as_array``). Word-level acoustic vectors are means
+over boundary intervals, and ``mean_pool_awe`` is where those intervals
+are checked against the frames. It pools every span of an utterance with
+one gather and adds each span's frames in frame order, so a span's vector
+is the same whatever other spans share the call. The continuous baselines
+are Fourier-resampled frame sequences.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from crossaec.errors import (
-    AlignmentError,
-    CoverageError,
-    DegenerateInputError,
-    ShapeError,
-)
+from crossaec.errors import AlignmentError, CoverageError, ShapeError
 from crossaec.nn.tensor import Tensor, linear, tanh
 from crossaec.util import as_array, as_count, as_real
 
@@ -41,6 +37,10 @@ class PrototypeTable:
 
     def __post_init__(self):
         self.noise_sigma = as_real(self.noise_sigma, "noise_sigma", ShapeError)
+        if not isinstance(self.prototypes, Mapping):
+            raise ShapeError(
+                f"prototypes must be a mapping, got {type(self.prototypes).__name__}"
+            )
         if not self.prototypes:
             raise CoverageError("prototype table has no words")
         self.prototypes = {
@@ -53,10 +53,6 @@ class PrototypeTable:
                 f"prototypes must be non-empty vectors of one dimension, got "
                 f"shapes {sorted(shapes)}"
             )
-        finite = np.isfinite(np.array(list(self.prototypes.values()))).all(axis=1)
-        if not finite.all():
-            word = list(self.prototypes)[int(np.argmin(finite))]
-            raise DegenerateInputError(f"prototype for {word!r} is not finite")
 
     @property
     def dim(self) -> int:
@@ -129,7 +125,7 @@ def validate_boundaries(boundaries: Sequence[Boundary], num_frames: int) -> np.n
 
 
 def _frame_matrix(values, name: str) -> np.ndarray:
-    """``values`` as a float64 (rows, dim) matrix; any other rank is a ShapeError."""
+    """``values`` as a finite float64 (rows, dim) matrix; any other rank is a ShapeError."""
     matrix = as_array(values, float, name, ShapeError)
     if matrix.ndim != 2:
         raise ShapeError(f"{name} must be a 2D (rows, dim) matrix, got {matrix.shape}")

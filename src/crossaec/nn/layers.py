@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from crossaec.errors import DegenerateInputError, ShapeError
 from crossaec.nn.config import ModelConfig
 from crossaec.nn.params import ParameterStore
 from crossaec.nn.tensor import (
@@ -29,7 +28,6 @@ from crossaec.nn.tensor import (
     linear,
     relu,
 )
-from crossaec.util import as_mask
 
 
 def init_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -203,10 +201,8 @@ class Decoder(_Stack):
 def cross_entropy_loss(
     logits: Tensor, target_ids: np.ndarray, pad_mask: np.ndarray
 ) -> Tensor:
-    """Mean negative log-likelihood over the unmasked positions."""
-    mask = as_mask(pad_mask, "pad_mask", ShapeError)
-    total = int(mask.sum())
-    if total == 0:
-        raise DegenerateInputError("loss over zero unmasked positions")
-    weights = mask.astype(np.float64) / total
-    return cross_entropy(logits, target_ids, weights)
+    """``tensor.cross_entropy`` under a layer's name. It stays because
+    ``perfbench/corrector.py`` calls it and the benchmark's tracer times it
+    as ``nn.layers.loss``, just as ``perfbench``'s ``Head`` exists only for
+    the tracer."""
+    return cross_entropy(logits, target_ids, pad_mask)

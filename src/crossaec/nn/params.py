@@ -7,7 +7,7 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from crossaec.errors import DegenerateInputError, ShapeError
+from crossaec.errors import ShapeError
 from crossaec.nn.tensor import Tensor
 from crossaec.util import as_array
 
@@ -63,8 +63,6 @@ class ParameterStore:
                 raise ShapeError(
                     f"shape mismatch for {name}: {value.shape} vs {t.data.shape}"
                 )
-            if not np.isfinite(value).all():
-                raise DegenerateInputError(f"non-finite value for {name}")
             checked[name] = value
         for name, value in checked.items():
             self._params[name].data = value

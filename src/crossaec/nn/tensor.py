@@ -6,8 +6,10 @@ finite-difference acceptance gate depends on it.
 
 The module holds only the ops the corrector runs: ``add``, ``relu``,
 ``tanh``, ``linear``, ``attention`` (the one softmax), ``layer_norm``,
-``embedding_lookup`` and ``cross_entropy``, plus ``tensor_sum``, the
-scalar reduction the gradient checks build their losses from.
+``embedding_lookup`` and ``cross_entropy`` (the mean loss over the
+unmasked targets), plus ``tensor_sum``, the scalar reduction the gradient
+checks build their losses from. Masks are boolean arrays, true on real
+content; ``util.as_array`` refuses any other values.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from crossaec.errors import DegenerateInputError, ShapeError, StateError
-from crossaec.util import as_array, as_count, as_mask, token_ids
+from crossaec.util import as_array, as_count, token_ids
 
 _GRAD_ENABLED = True
 
@@ -227,7 +229,7 @@ def attention(
     num_heads = as_count(num_heads, "num_heads", ShapeError)
     if dim % num_heads:
         raise ShapeError(f"dim {dim} does not split into {num_heads} heads")
-    key_mask = as_mask(key_mask, "key_mask", ShapeError)
+    key_mask = as_array(key_mask, bool, "key_mask", ShapeError)
     if key_mask.shape != (batch, lk):
         raise ShapeError(f"key_mask {key_mask.shape} is not ({batch}, {lk})")
     dh = dim // num_heads
@@ -313,28 +315,22 @@ def embedding_lookup(weight: Tensor, ids: np.ndarray) -> Tensor:
     return _make(data, (weight,), vjp)
 
 
-def cross_entropy(
-    logits: Tensor, target_ids: np.ndarray, weights: np.ndarray
-) -> Tensor:
-    """Weighted negative log-likelihood, summed into a scalar.
-
-    ``weights`` is a constant array of finite numbers >= 0, of the shape of
-    ``target_ids``; the caller chooses the normalization (per-position
-    mean, per-example mean, ...). Every target id lies in [0, vocabulary
-    size).
-    """
+def cross_entropy(logits: Tensor, target_ids: np.ndarray, pad_mask: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood over the positions where ``pad_mask``, a
+    boolean array of the shape of ``target_ids``, is true. Every target id lies
+    in [0, vocabulary size)."""
     ids = token_ids(target_ids, logits.data.shape[-1])
     if ids.shape != logits.data.shape[:-1]:
         raise ShapeError(
             f"targets {ids.shape} do not match logits {logits.data.shape}"
         )
-    w = as_array(weights, float, "weights", ShapeError)
-    if w.shape != ids.shape:
-        raise ShapeError(f"weights {w.shape} do not match targets {ids.shape}")
-    fit = (w >= 0) & (w < np.inf)  # NaN fails both comparisons
-    if not fit.all():
-        bad = float(w[~fit][0])
-        raise ShapeError(f"weights must be finite numbers >= 0, got {bad!r}")
+    mask = as_array(pad_mask, bool, "pad_mask", ShapeError)
+    if mask.shape != ids.shape:
+        raise ShapeError(f"pad_mask {mask.shape} does not match targets {ids.shape}")
+    count = int(mask.sum())
+    if count == 0:
+        raise DegenerateInputError("loss over zero unmasked positions")
+    w = mask.astype(np.float64) / count
     x = logits.data
     mx = x.max(axis=-1, keepdims=True)
     expd = x - mx

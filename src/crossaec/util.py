@@ -1,10 +1,9 @@
 """Small shared helpers: the argument rules and canonical JSON hashing. Each
-rule has one implementation: ``as_number`` (which values are ints or floats),
-``as_count`` (an int >= a floor, else the caller's error), ``as_real`` (a
-finite float >= 0, else the caller's error), ``as_array`` (an int64 or float64
-array of such numbers, else the caller's error), ``as_mask`` (a bool array of
-bools, else the caller's error) and ``token_ids`` (integer ids inside the
-vocabulary)."""
+rule has one implementation: ``as_number`` (which values are bools, ints or
+floats), ``as_count`` (an int >= a floor, else the caller's error), ``as_real``
+(a finite float >= 0, else the caller's error), ``as_array`` (a bool, int64 or
+finite float64 array of such values, else the caller's error) and
+``token_ids`` (integer ids inside the vocabulary)."""
 
 from __future__ import annotations
 
@@ -16,11 +15,14 @@ import numpy as np
 from crossaec.errors import VocabularyError
 
 
-def as_number(value, kind: type) -> int | float | None:
-    """``value`` as a plain ``kind`` (int or float), or None if it is not one:
-    ints count as either kind and floats as float, numpy's as well as Python's,
-    but ``bool`` never does (True is not a size, a seed or a rate)."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+def as_number(value, kind: type) -> bool | int | float | None:
+    """``value`` as a plain ``kind`` (bool, int or float), or None if it is not
+    one, numpy's values as well as Python's: a bool counts only as a bool (True
+    is not a size, a seed or a rate, and 1 is not True), an int as an int or a
+    float, and a float as a float."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value) if kind is bool else None
+    if isinstance(value, (int, np.integer)) and kind is not bool:
         try:
             return kind(value)
         except OverflowError:  # an int too large for a float
@@ -46,47 +48,42 @@ def as_real(value, name: str, error: type) -> float:
     return real
 
 
-_ARRAY_KINDS = {int: (np.int64, "integers", "i"), float: (np.float64, "numbers", "iuf")}
+_ARRAY_KINDS = {
+    bool: (np.bool_, "booleans", "b"),
+    int: (np.int64, "integers", "i"),
+    float: (np.float64, "numbers", "iuf"),
+}
 
 
 def as_array(values, kind: type, name: str, error: type) -> np.ndarray:
-    """``values`` as an int64 (``kind=int``) or float64 (``kind=float``) array of
-    numbers ``as_number`` takes as ``kind``, else ``error`` naming the first bad
-    one. A non-empty ndarray's dtype says what it holds (the target dtype passes
-    uncopied); numpy reads ``[4, True]`` as ints, so a sequence is read per element."""
+    """``values`` as a bool, int64 or float64 array (``kind`` bool, int or float)
+    of values ``as_number`` takes as ``kind``, and finite if float; anything else
+    raises ``error`` naming the first bad value. A non-empty ndarray's dtype says
+    what it holds (the target dtype passes uncopied); numpy reads ``[4, True]``
+    as ints and ``["no"]`` as true, so a sequence is read element by element."""
     dtype, word, kinds = _ARRAY_KINDS[kind]
     if isinstance(values, np.ndarray) and values.dtype.kind in kinds:
-        return values.astype(dtype, copy=False)
-    # Unsigned ints go element by element: int64 would wrap those >= 2**63.
-    if isinstance(values, np.ndarray) and values.size and values.dtype.kind != "u":
-        raise error(f"{name} must be {word}, got an array of {values.dtype}")
-    try:
-        objects = np.asarray(values, dtype=object)
-    except ValueError:  # arrays whose shapes differ past the first axis
-        raise error(f"{name} must be {word}, got ragged rows") from None
-    bad = [v for v in objects.flat if as_number(v, kind) is None]
-    if bad:
-        raise error(f"{name} must be {word}, got {bad[0]!r}")
-    try:
-        return objects.astype(dtype)
-    except OverflowError:  # only int64 can: as_number took every float
-        big = next(v for v in objects.flat if not -(2**63) <= int(v) < 2**63)
-        raise error(f"{name} must fit in int64, got {big}") from None
-
-
-def as_mask(values, name: str, error: type) -> np.ndarray:
-    """``values`` as a bool array of bools, else ``error`` naming the first other
-    element, none read by its truthiness. A bool ndarray passes uncopied."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "b":
-        return values
-    try:
-        objects = np.asarray(values, dtype=object)
-    except ValueError:  # arrays whose shapes differ past the first axis
-        raise error(f"{name} must be booleans, got ragged rows") from None
-    bad = [v for v in objects.flat if not isinstance(v, (bool, np.bool_))]
-    if bad:
-        raise error(f"{name} must be booleans, got {bad[0]!r}")
-    return objects.astype(bool)
+        array = values.astype(dtype, copy=False)
+    else:
+        # Unsigned ints go element by element: int64 would wrap those >= 2**63.
+        if isinstance(values, np.ndarray) and values.size and values.dtype.kind != "u":
+            raise error(f"{name} must be {word}, got an array of {values.dtype}")
+        try:
+            objects = np.asarray(values, dtype=object)
+        except ValueError:  # arrays whose shapes differ past the first axis
+            raise error(f"{name} must be {word}, got ragged rows") from None
+        bad = [v for v in objects.flat if as_number(v, kind) is None]
+        if bad:
+            raise error(f"{name} must be {word}, got {bad[0]!r}")
+        try:
+            array = objects.astype(dtype)
+        except OverflowError:  # only int64 can: as_number took every float
+            big = next(v for v in objects.flat if not -(2**63) <= int(v) < 2**63)
+            raise error(f"{name} must fit in int64, got {big}") from None
+    if kind is float and not np.isfinite(array).all():
+        bad = float(array[~np.isfinite(array)][0])
+        raise error(f"{name} must be finite, got {bad!r}")
+    return array
 
 
 def token_ids(ids, vocab_size: int) -> np.ndarray:

@@ -7,12 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crossaec.errors import (
-    AlignmentError,
-    CoverageError,
-    DegenerateInputError,
-    ShapeError,
-)
+from crossaec.errors import AlignmentError, CoverageError, ShapeError
 from crossaec.acoustic import (
     PrototypeTable,
     build_prototypes,
@@ -101,13 +96,15 @@ def test_prototype_table_rejects_zero_width_prototypes():
         PrototypeTable(prototypes={"a": np.zeros(0)}, noise_sigma=0.1)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_prototype_table_rejects_non_finite_prototype(bad):
-    prototypes = {"a": np.ones(3), "b": np.array([1.0, bad, 0.0])}
-    with pytest.raises(DegenerateInputError, match="'b'"):
-        PrototypeTable(prototypes=prototypes, noise_sigma=0.1)
-    with pytest.raises(DegenerateInputError, match="'a'"):
-        PrototypeTable(prototypes={"a": [bad, 1.0]}, noise_sigma=0.1)
+@pytest.mark.parametrize(
+    "prototypes, kind",
+    [([1.0, 2.0], "list"), ([("a", [1.0])], "list"), ("ab", "str"), (None, "NoneType")],
+    ids=["list", "pairs", "str", "none"],
+)
+def test_prototype_table_rejects_non_mapping(prototypes, kind):
+    with pytest.raises(ShapeError) as caught:
+        PrototypeTable(prototypes, 0.1)
+    assert str(caught.value) == f"prototypes must be a mapping, got {kind}"
 
 
 def test_list_prototypes_give_the_frames_of_array_prototypes():
@@ -252,15 +249,13 @@ def test_pad_dsu_overflow_rejected():
         pad_dsu(np.zeros((6, 2)), 4)
 
 
-# The two tests below keep their names from when a corpus record carried spans
-# that load_alignment checked; the spans are now checked by validate_boundaries.
-def test_load_alignment_accepts_synth_output():
+def test_validate_boundaries_accepts_synth_output():
     frames, bounds = synth_frames(["red", "blue"], _table(), 4, rng_seed=0)
     validate_boundaries(bounds, frames.shape[0])
     assert mean_pool_awe(frames, bounds).shape == (2, frames.shape[1])
 
 
-def test_load_alignment_rejects_overlap():
+def test_validate_boundaries_rejects_overlap():
     with pytest.raises(AlignmentError, match="overlaps"):
         validate_boundaries([(0, 4), (3, 8)], 8)
 

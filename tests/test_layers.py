@@ -312,7 +312,7 @@ def test_gradcheck_output_projection_with_loss():
     targets = np.array([[4, 5, 6]])
 
     def loss():
-        return cross_entropy(head(tanh(emb(ids))), targets, np.full((1, 3), 1 / 3))
+        return cross_entropy(head(tanh(emb(ids))), targets, np.ones((1, 3), dtype=bool))
 
     assert gradient_check(loss, store) <= 1e-4
 
@@ -442,14 +442,6 @@ def test_rejected_state_leaves_every_parameter_unchanged():
         store.load_state_dict({"a": [5.0, 5.0], "b": [1.0]})
     np.testing.assert_array_equal(store.state_dict()["a"], [0.0, 0.0])
     np.testing.assert_array_equal(store.state_dict()["b"], [1.0, 1.0])
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_load_state_dict_rejects_non_finite_values(bad):
-    store = _store({"w": np.zeros(2), "b": np.zeros(2)})
-    with pytest.raises(DegenerateInputError, match="for w"):
-        store.load_state_dict({"w": [bad, 1.0], "b": [0.0, 0.0]})
-    np.testing.assert_array_equal(store.state_dict()["w"], [0.0, 0.0])
 
 
 @pytest.mark.parametrize("bad", [None, 5, [("w", [1.0, 2.0])]], ids=["none", "int", "pairs"])

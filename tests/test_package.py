@@ -2,8 +2,10 @@
 re-exported, and every name has one import path) or defines a private name it
 never reads, every public name of the package has a caller outside the tests
 or a named reservation, and only ``util`` writes the bool and dtype rules.
-Each argument rule of ``util`` (count, real, array, mask, id) has one table of
-the sites that call it, and every site runs every case of its rule."""
+Each argument rule of ``util`` (count, real, array, id) has one table of the
+sites that call it, and every site runs every case of its rule: an array site
+runs the cases of its kind (bool, int or float), and a float site also the
+non-finite ones."""
 
 import ast
 import math
@@ -28,7 +30,7 @@ from crossaec.nn.layers import Embedding, cross_entropy_loss
 from crossaec.nn.params import ParameterStore
 from crossaec.nn.tensor import Tensor, attention, cross_entropy, embedding_lookup
 from crossaec.text import Vocabulary, decode, encode
-from crossaec.util import stable_hash, token_ids
+from crossaec.util import as_array, stable_hash, token_ids
 
 PACKAGE = Path(crossaec.__file__).parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
@@ -361,33 +363,43 @@ def _load_w(value):
 _WEIGHT = Tensor(np.zeros((5, 2)))
 _LOGITS = Tensor(np.zeros((1, 2, 5)))
 
-# Each array argument: (error type, the name and the word of its message, a
-# call passing the array to that argument).
+# Each array argument: (error type, the name in its message, the kind of its
+# values, a call passing the array to that argument). The bool sites take a
+# (1, 2) mask.
 ARRAY_SITES = {
-    "mean_pool_awe": (ShapeError, "frames", "numbers", lambda v: mean_pool_awe(v, [(0, 1)])),
-    "pad_dsu": (ShapeError, "awe", "numbers", lambda v: pad_dsu(v, 4)),
-    "fft_resample": (ShapeError, "frames", "numbers", lambda v: fft_resample(v, 4)),
+    "mean_pool_awe": (ShapeError, "frames", float, lambda v: mean_pool_awe(v, [(0, 1)])),
+    "pad_dsu": (ShapeError, "awe", float, lambda v: pad_dsu(v, 4)),
+    "fft_resample": (ShapeError, "frames", float, lambda v: fft_resample(v, 4)),
     "prototype": (
         ShapeError,
         "prototype for 'a'",
-        "numbers",
+        float,
         lambda v: PrototypeTable({"a": v}, 0.1),
     ),
-    "load_state_dict": (ShapeError, "value for w", "numbers", _load_w),
+    "load_state_dict": (ShapeError, "value for w", float, _load_w),
     "span-ends": (
         AlignmentError,
         "boundary ends",
-        "integers",
+        int,
         lambda v: mean_pool_awe(np.zeros((4, 2)), v),
     ),
-    "token-ids": (VocabularyError, "token ids", "integers", lambda v: token_ids(v, 5)),
-    "weights": (
+    "token-ids": (VocabularyError, "token ids", int, lambda v: token_ids(v, 5)),
+    "attention": (ShapeError, "key_mask", bool, lambda m: attention(_SEQ, _SEQ, _SEQ, 1, m)),
+    "cross_entropy": (
         ShapeError,
-        "weights",
-        "numbers",
-        lambda v: cross_entropy(_LOGITS, [[0, 1]], v),
+        "pad_mask",
+        bool,
+        lambda m: cross_entropy(_LOGITS, [[0, 1]], m),
+    ),
+    "cross_entropy_loss": (
+        ShapeError,
+        "pad_mask",
+        bool,
+        lambda m: cross_entropy_loss(_LOGITS, [[0, 1]], m),
     ),
 }
+
+WORDS = {bool: "booleans", int: "integers", float: "numbers"}
 
 NON_NUMBERS = {
     "numeric-strings": [["1.5", "2"], ["3", "4"]],
@@ -405,30 +417,6 @@ NON_NUMBERS = {
     "float": [[0, 1.5]],  # refused by the integer sites only
 }
 
-
-@pytest.mark.parametrize(
-    "site, case",
-    [
-        (site, case)
-        for site, (_, _, word, _) in sorted(ARRAY_SITES.items())
-        for case in sorted(NON_NUMBERS)
-        if case != "float" or word == "integers"
-    ],
-)
-def test_array_arguments_must_be_numbers(site, case):
-    error, name, word, call = ARRAY_SITES[site]
-    with pytest.raises(error) as caught:
-        call(NON_NUMBERS[case])
-    assert str(caught.value).startswith(f"{name} must be {word}, got ")
-
-
-# Each mask argument: the name in its message, and a call passing a (1, 2) mask
-# to it.
-MASK_SITES = {
-    "attention": ("key_mask", lambda m: attention(_SEQ, _SEQ, _SEQ, 1, m)),
-    "cross_entropy_loss": ("pad_mask", lambda m: cross_entropy_loss(_LOGITS, [[0, 1]], m)),
-}
-
 # Masks that numpy would read by truthiness: each must be refused, not read.
 NON_BOOLS = {
     "strings": [["no", ""]],
@@ -441,28 +429,74 @@ NON_BOOLS = {
     "float-array": np.ones((1, 2)),
     "string-array": np.array([["x", ""]]),
     "object-array": np.ones((1, 2), dtype=object),
+    # An ndarray's dtype says what it holds, and object says nothing.
+    "bool-object-array": np.array([[True, False]], dtype=object),
     "ragged-rows": [[True], [True, False]],
 }
 
+# Each non-finite value, in a list and in an ndarray: the float sites refuse both.
+NON_FINITE = {
+    f"{value!r}-{form.__name__}": (form([[1.0, value]]), value)
+    for value in (math.nan, math.inf, -math.inf)
+    for form in (list, np.array)
+}
 
-@pytest.mark.parametrize("case", sorted(NON_BOOLS))
-@pytest.mark.parametrize("site", sorted(MASK_SITES))
-def test_mask_arguments_must_be_booleans(site, case):
-    name, call = MASK_SITES[site]
-    with pytest.raises(ShapeError) as caught:
-        call(NON_BOOLS[case])
-    assert str(caught.value).startswith(f"{name} must be booleans, got ")
+# The cases each kind of site runs.
+BAD_ARRAYS = {
+    bool: NON_BOOLS,
+    int: NON_NUMBERS,
+    float: {case: v for case, v in NON_NUMBERS.items() if case != "float"},
+}
+
+
+@pytest.mark.parametrize(
+    "site, case",
+    [
+        (site, case)
+        for site, (_, _, kind, _) in sorted(ARRAY_SITES.items())
+        for case in sorted(BAD_ARRAYS[kind])
+    ],
+)
+def test_array_arguments_must_hold_their_kind(site, case):
+    error, name, kind, call = ARRAY_SITES[site]
+    with pytest.raises(error) as caught:
+        call(BAD_ARRAYS[kind][case])
+    assert str(caught.value).startswith(f"{name} must be {WORDS[kind]}, got ")
+
+
+def _sites(kind: type) -> list[str]:
+    return sorted(site for site, (_, _, k, _) in ARRAY_SITES.items() if k is kind)
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+@pytest.mark.parametrize("site", _sites(float))
+def test_float_arguments_must_be_finite(site, case):
+    error, name, _, call = ARRAY_SITES[site]
+    values, bad = NON_FINITE[case]
+    with pytest.raises(error) as caught:
+        call(values)
+    assert str(caught.value) == f"{name} must be finite, got {bad!r}"
 
 
 @pytest.mark.parametrize(
     "mask",
-    [[[True, False]], [[np.True_, np.False_]], np.array([[True, False]], dtype=object)],
-    ids=["list", "numpy-bools", "object-array"],
+    [[[True, False]], [[np.True_, np.False_]], ([True, False],)],
+    ids=["list", "numpy-bools", "tuple-of-list"],
 )
-@pytest.mark.parametrize("site", sorted(MASK_SITES))
-def test_mask_arguments_read_bools_from_any_container(site, mask):
-    call = MASK_SITES[site][1]
+@pytest.mark.parametrize("site", _sites(bool))
+def test_bool_arguments_read_bools_from_any_container(site, mask):
+    call = ARRAY_SITES[site][3]
     np.testing.assert_array_equal(call(mask).data, call(np.array([[True, False]])).data)
+
+
+@pytest.mark.parametrize(
+    "kind, dtype",
+    [(bool, bool), (int, np.int64), (float, np.float64)],
+    ids=["bool", "int", "float"],
+)
+def test_arrays_of_the_target_dtype_pass_uncopied(kind, dtype):
+    array = np.ones((2, 2), dtype=dtype)
+    assert as_array(array, kind, "values", ShapeError) is array
 
 
 _VOCAB = Vocabulary(["a"])  # 5 ids: the four specials, then "a"
@@ -474,7 +508,7 @@ ID_SITES = {
     "token_ids": lambda ids: token_ids(ids, 5),
     "embedding_lookup": lambda ids: embedding_lookup(_WEIGHT, [ids]),
     "Embedding": lambda ids: _EMBEDDING([ids]),
-    "cross_entropy": lambda ids: cross_entropy(_LOGITS, [ids], np.ones((1, 2))),
+    "cross_entropy": lambda ids: cross_entropy(_LOGITS, [ids], np.ones((1, 2), dtype=bool)),
     "cross_entropy_loss": lambda ids: cross_entropy_loss(
         _LOGITS, [ids], np.ones((1, 2), dtype=bool)
     ),
