@@ -26,7 +26,8 @@ class ParameterStore:
         if name in self._params:
             raise ShapeError(f"duplicate parameter name: {name}")
         # A copy: the optimizer updates parameters in place.
-        t = Tensor(np.array(value, dtype=np.float64), requires_grad=True)
+        value = as_array(value, float, f"value for {name}", ShapeError).copy()
+        t = Tensor(value, requires_grad=True)
         self._params[name] = t
         return t
 

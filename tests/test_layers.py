@@ -1,6 +1,10 @@
-"""Layer-level contracts: gradcheck per layer type, Adam, a numpy attention oracle."""
+"""Layer-level contracts: the whole corrector's gradient check, Adam, a numpy
+attention oracle."""
 
 import math
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,27 +12,18 @@ import pytest
 from crossaec.errors import ConfigurationError, DegenerateInputError, ShapeError
 from crossaec.nn.config import ModelConfig, OptimizerConfig
 from crossaec.nn.gradcheck import gradient_check
-from crossaec.nn.layers import (
-    Decoder,
-    Embedding,
-    Encoder,
-    FeedForward,
-    LayerNorm,
-    Linear,
-    MultiHeadAttention,
-    cross_entropy_loss,
-)
+from crossaec.nn.layers import Decoder, MultiHeadAttention, cross_entropy_loss
 from crossaec.nn.optim import AdamOptimizer
 from crossaec.nn.params import ParameterStore
-from crossaec.nn.tensor import (
-    Tensor,
-    _make,
-    attention,
-    cross_entropy,
-    linear,
-    tanh,
-    tensor_sum,
-)
+from crossaec.nn.tensor import Tensor, attention
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+
+# The corrector the benchmark trains, read from the benchmark. ROADMAP item 16
+# moves it into the package, and this becomes ``from crossaec.model import Corrector``.
+from corrector import Corrector  # noqa: E402
 
 
 def _attend(q, k, v, key_mask=None):
@@ -166,101 +161,37 @@ def _tiny_rng():
     return np.random.default_rng(123)
 
 
-def test_gradcheck_linear():
-    store = ParameterStore()
-    lin = Linear(store, "lin", 5, 3, _tiny_rng())
-    x = np.random.default_rng(5).normal(size=(2, 4, 5))
-
-    def loss():
-        return tensor_sum(tanh(lin(Tensor(x))))
-
-    assert gradient_check(loss, store) <= 1e-4
+def _padded(lengths, width):
+    """A (len(lengths), width) mask, true on the first ``length`` places of each row."""
+    return np.arange(width) < np.array(lengths)[:, None]
 
 
-def test_gradcheck_embedding():
-    store = ParameterStore()
-    emb = Embedding(store, "emb", 9, 6, _tiny_rng())
-    ids = np.array([[1, 4, 4, 8], [0, 2, 3, 5]])
-
-    def loss():
-        return tensor_sum(tanh(emb(ids)))
-
-    assert gradient_check(loss, store) <= 1e-4
-
-
-def test_gradcheck_layer_norm():
-    store = ParameterStore()
-    ln = LayerNorm(store, "norm", 6)
-    x = np.random.default_rng(6).normal(size=(3, 6))
-
-    def loss():
-        return tensor_sum(tanh(ln(Tensor(x))))
-
-    assert gradient_check(loss, store) <= 1e-4
-
-
-def test_gradcheck_feedforward():
-    store = ParameterStore()
-    ff = FeedForward(store, "ff", 4, 7, _tiny_rng())
-    x = np.random.default_rng(8).normal(size=(2, 3, 4))
-
-    def loss():
-        return tensor_sum(tanh(ff(Tensor(x))))
-
-    assert gradient_check(loss, store) <= 1e-4
-
-
-def test_gradcheck_attention():
-    store = ParameterStore()
-    attn = MultiHeadAttention(store, "attn", 8, 2, _tiny_rng())
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=(2, 5, 8))
-    kv = rng.normal(size=(2, 4, 8))
-    mask = np.ones((2, 4), dtype=bool)
-    mask[1, 2:] = False
-
-    def loss():
-        return tensor_sum(tanh(attn(Tensor(x), Tensor(kv), key_mask=mask)))
-
-    assert gradient_check(loss, store) <= 1e-4
-
-
-def test_gradcheck_encoder_then_decoder():
+def _corrector_case(seed):
+    """The corrector at 2+2 layers, so block chaining is checked, and a batch
+    of 2 with 6 tokens and 12 frames, padded in the source, the target and
+    the frames."""
     config = ModelConfig(
-        model_dim=8, num_heads=2, encoder_layers=2, decoder_layers=2, feedforward_dim=12
+        model_dim=8, num_heads=2, encoder_layers=2, decoder_layers=2,
+        feedforward_dim=12, max_seq_len=6, vocab_size=9, seed=seed, feature_dim=3,
     )
-    store, rng = ParameterStore(), _tiny_rng()
-    encoder = Encoder(store, "enc", config, rng)
-    decoder = Decoder(store, "dec", config, rng)
-    data = np.random.default_rng(16)
-    src = data.normal(size=(2, 5, 8))
-    tgt = data.normal(size=(2, 4, 8))
-    src_mask = np.ones((2, 5), dtype=bool)
-    src_mask[1, 3:] = False
-    tgt_mask = np.ones((2, 4), dtype=bool)
-    tgt_mask[0, 2:] = False
-
-    def loss():
-        memory = encoder(Tensor(src), src_mask)
-        return tensor_sum(tanh(decoder(Tensor(tgt), tgt_mask, memory, src_mask)))
-
-    assert gradient_check(loss, store) <= 1e-4
+    data = np.random.default_rng(seed)
+    batch = SimpleNamespace(
+        src=data.integers(0, 9, size=(2, 6)),
+        src_mask=_padded([6, 4], 6),
+        dsu=data.normal(size=(2, 12, 3)),
+        dsu_mask=_padded([12, 7], 12),
+        tgt_in=data.integers(0, 9, size=(2, 6)),
+        tgt_out=data.integers(0, 9, size=(2, 6)),
+        tgt_mask=_padded([5, 6], 6),
+    )
+    return Corrector(config), batch
 
 
-@pytest.mark.parametrize("shape", [(4, 5), (2, 3, 5)])
-@pytest.mark.parametrize("with_bias", [True, False])
-def test_gradcheck_linear_primitive(shape, with_bias):
-    rng = np.random.default_rng(12)
-    store = ParameterStore()
-    # The input is a parameter too, so its gradient is checked as well.
-    x = store.create("x", rng.normal(size=shape))
-    weight = store.create("weight", rng.normal(size=(5, 3)))
-    bias = store.create("bias", rng.normal(size=3)) if with_bias else None
-
-    def loss():
-        return tensor_sum(tanh(linear(x, weight, bias)))
-
-    assert gradient_check(loss, store) <= 1e-6
+def test_whole_corrector_gradient_at_every_coordinate():
+    # Embedding and positions, encoder, project_features, fusion
+    # cross-attention, decoder, head and the masked loss, over every parameter.
+    model, batch = _corrector_case(0)
+    assert gradient_check(lambda: model.loss(batch), model.store) <= 1e-4
 
 
 def _numpy_attention(attn, query_in, kv_in, key_mask, causal):
@@ -300,53 +231,6 @@ def test_attention_matches_reference_composition(causal):
     out = attn(Tensor(x), Tensor(kv), key_mask=key_mask, causal=causal).data
     expected = _numpy_attention(attn, x, kv, key_mask, causal)
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
-
-
-def test_gradcheck_output_projection_with_loss():
-    # An untied output head, as the corrector has.
-    store = ParameterStore()
-    rng = _tiny_rng()
-    emb = Embedding(store, "emb", 11, 6, rng)
-    head = Linear(store, "head", 6, 11, rng)
-    ids = np.array([[1, 2, 3]])
-    targets = np.array([[4, 5, 6]])
-
-    def loss():
-        return cross_entropy(head(tanh(emb(ids))), targets, np.ones((1, 3), dtype=bool))
-
-    assert gradient_check(loss, store) <= 1e-4
-
-
-def test_gradcheck_detects_corrupted_vjp():
-    # An op whose backward is deliberately wrong by 2x must blow past 1e-2.
-    store = ParameterStore()
-    p = store.create("p", np.array([1.3, -0.4, 0.8]))
-
-    def bad_square(t):
-        data = t.data * t.data
-
-        def vjp(g):
-            t.grad = (t.grad if t.grad is not None else 0) + 4.0 * t.data * g
-
-        return _make(data, (t,), vjp)
-
-    def loss():
-        return tensor_sum(bad_square(p))
-
-    assert gradient_check(loss, store) > 1e-2
-
-
-def test_gradcheck_deterministic():
-    store = ParameterStore()
-    lin = Linear(store, "lin", 6, 6, _tiny_rng())
-    x = np.random.default_rng(11).normal(size=(3, 6))
-
-    def loss():
-        return tensor_sum(tanh(lin(Tensor(x))))
-
-    r1 = gradient_check(loss, store)
-    r2 = gradient_check(loss, store)
-    assert r1 == r2
 
 
 def test_adam_leaves_parameters_with_zero_or_no_gradient():

@@ -106,7 +106,7 @@ CALLERS = SOURCES + [path for path in BENCHMARK if not path.name.startswith("tes
 # keeps it: a test tool, or the ROADMAP item whose code will call it.
 RESERVED = {
     "nn.tensor.tensor_sum": "test tool: every gradient test builds its scalar loss from it",
-    "nn.gradcheck.gradient_check": "test tool: the finite-difference gate of the layer tests",
+    "nn.gradcheck.gradient_check": "test tool: the gate of every op and of the whole corrector",
     "nn.config.ModelConfig.from_dict": "item 1c: `crossaec run --config` reads its config",
     "text.decode": "item 1c: greedy decoding turns the corrector's ids back into words",
     "acoustic.build_prototypes": "item 1c: the package's runs and the clusters=1 control",
@@ -377,6 +377,7 @@ ARRAY_SITES = {
         lambda v: PrototypeTable({"a": v}, 0.1),
     ),
     "load_state_dict": (ShapeError, "value for w", float, _load_w),
+    "create": (ShapeError, "value for w", float, lambda v: ParameterStore().create("w", v)),
     "span-ends": (
         AlignmentError,
         "boundary ends",

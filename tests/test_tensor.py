@@ -1,4 +1,7 @@
-"""Gradient exactness of the autodiff primitives against finite differences."""
+"""The autodiff primitives: every op case passes ``gradient_check`` at every
+coordinate within 1e-6, every op returns float64 data, and backward keeps its
+graph contracts. One table of op cases feeds the gradient and dtype tests,
+and every public op but ``constant`` and ``no_grad`` needs a case in it."""
 
 import inspect
 import math
@@ -8,6 +11,8 @@ import pytest
 
 from crossaec.errors import ShapeError, StateError
 from crossaec.nn import tensor
+from crossaec.nn.gradcheck import gradient_check
+from crossaec.nn.params import ParameterStore
 from crossaec.nn.tensor import (
     Tensor,
     add,
@@ -23,48 +28,81 @@ from crossaec.nn.tensor import (
     tensor_sum,
 )
 
-
-def numeric_grad(f, x, h=1e-6):
-    """Central-difference gradient of scalar f at array x."""
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        up = f()
-        flat[i] = orig - h
-        down = f()
-        flat[i] = orig
-        gflat[i] = (up - down) / (2 * h)
-    return g
-
-
-def check_op(build_loss, *arrays, tol=1e-6):
-    """Compare analytic grads of build_loss(*tensors) to finite differences
-    at every coordinate; return the tensors, which hold the analytic grads."""
-    tensors = [Tensor(a, requires_grad=True) for a in arrays]
-    loss = build_loss(*tensors)
-    loss.backward()
-    for t, a in zip(tensors, arrays):
-        num = numeric_grad(lambda: float(build_loss(*[Tensor(x.data) for x in tensors]).data), a)
-        assert t.grad is not None
-        np.testing.assert_allclose(t.grad, num, rtol=tol, atol=tol)
-    return tensors
-
-
 rng = np.random.default_rng(7)
 
+KEY_MASK = np.array([[True] * 6, [True] * 3 + [False] * 3])
 
-def test_add_broadcast_grad():
-    a = rng.normal(size=(3, 4))
-    b = rng.normal(size=(4,))
-    check_op(lambda x, y: tensor_sum(tanh(add(x, y))), a, b)
+# Each op case: the op it checks, the shapes of its inputs (in the op's
+# argument order), and the call of the op on them.
+OP_CASES = {
+    "add-broadcast": ("add", [(3, 4), (4,)], add),
+    "relu": ("relu", [(5, 5)], relu),
+    "tanh": ("tanh", [(3, 4)], tanh),
+    "tensor_sum": ("tensor_sum", [(3, 4)], tensor_sum),
+    "linear-2d": ("linear", [(4, 5), (5, 3)], linear),
+    "linear-2d-bias": ("linear", [(4, 5), (5, 3), (3,)], linear),
+    "linear-3d": ("linear", [(2, 3, 5), (5, 3)], linear),
+    "linear-3d-bias": ("linear", [(2, 3, 5), (5, 3), (3,)], linear),
+    "attention-causal-self": (
+        "attention",
+        [(2, 5, 6)] * 3,
+        lambda q, k, v: attention(q, k, v, 2, KEY_MASK[:, :5], causal=True),
+    ),
+    "attention-cross": (
+        "attention",
+        [(2, 3, 4), (2, 6, 4), (2, 6, 4)],
+        lambda q, k, v: attention(q, k, v, 2, KEY_MASK),
+    ),
+    "layer_norm": ("layer_norm", [(3, 5, 8), (8,), (8,)], layer_norm),
+    "embedding_lookup": (
+        "embedding_lookup",
+        [(7, 4)],
+        lambda w: embedding_lookup(w, [[1, 3, 3], [0, 6, 2]]),
+    ),
+    "cross_entropy": (
+        "cross_entropy",
+        [(2, 3, 5)],
+        lambda x: cross_entropy(
+            x, [[4, 0, 2], [1, 1, 3]], [[True, False, True], [False, True, True]]
+        ),
+    ),
+}
 
 
-def test_relu_grad():
-    a = rng.normal(size=(5, 5))
-    check_op(lambda x: tensor_sum(tanh(relu(x))), a)
+def _inputs(shapes):
+    """A store holding one normal random input per shape, and those inputs."""
+    store, values = ParameterStore(), np.random.default_rng(7)
+    inputs = [store.create(f"x{i}", values.normal(size=shape)) for i, shape in enumerate(shapes)]
+    return store, inputs
+
+
+@pytest.mark.parametrize("case", sorted(OP_CASES))
+def test_op_gradient_at_every_coordinate(case):
+    name, shapes, op = OP_CASES[case]
+    store, inputs = _inputs(shapes)
+    assert gradient_check(lambda: tensor_sum(tanh(op(*inputs))), store) <= 1e-6
+    if name == "attention":
+        # Masked keys take no part in the output, so their gradients are exactly 0.
+        _, k, v = inputs
+        masked = ~KEY_MASK[:, : k.data.shape[1]]
+        assert (k.grad[masked] == 0.0).all() and (v.grad[masked] == 0.0).all()
+
+
+def _square_wrong_at(t, coordinate):
+    """``t * t``, with a VJP that is right except at one flat coordinate."""
+
+    def vjp(g):
+        grad = 2.0 * t.data * g
+        grad.reshape(-1)[coordinate] *= 3.0
+        t.grad = grad if t.grad is None else t.grad + grad
+
+    return tensor._make(t.data * t.data, (t,), vjp)
+
+
+def test_gradient_check_finds_one_wrong_coordinate():
+    # A VJP wrong at one coordinate of 24 fails the check: every coordinate counts.
+    store, (x,) = _inputs([(4, 6)])
+    assert gradient_check(lambda: tensor_sum(_square_wrong_at(x, 5)), store) > 1e-2
 
 
 def test_attention_large_logits_stay_finite():
@@ -77,39 +115,6 @@ def test_attention_large_logits_stay_finite():
     probs = attention(Tensor(q), Tensor(k), Tensor(v), 1, mask).data.reshape(3)
     e = math.exp(-1.0)
     np.testing.assert_allclose(probs, [1 / (1 + e), e / (1 + e), 0.0], rtol=0, atol=1e-15)
-
-
-@pytest.mark.parametrize(
-    "lq, lk, dim, causal", [(5, 5, 6, True), (3, 6, 4, False)], ids=["causal-self", "cross"]
-)
-def test_attention_grad_every_coordinate(lq, lk, dim, causal):
-    q = rng.normal(size=(2, lq, dim))
-    k = rng.normal(size=(2, lk, dim))
-    v = rng.normal(size=(2, lk, dim))
-    key_mask = np.ones((2, lk), dtype=bool)
-    key_mask[1, 3:] = False
-
-    def loss(*qkv):
-        return tensor_sum(tanh(attention(*qkv, 2, key_mask, causal)))
-
-    _, k_t, v_t = check_op(loss, q, k, v)
-    # Masked keys take no part in the output, so their gradients are exactly 0.
-    assert (k_t.grad[~key_mask] == 0.0).all() and (v_t.grad[~key_mask] == 0.0).all()
-
-
-def test_layer_norm_grad():
-    x = rng.normal(size=(3, 5, 8))
-    gain = rng.normal(size=(8,))
-    offset = rng.normal(size=(8,))
-    check_op(
-        lambda a, g, o: tensor_sum(tanh(layer_norm(a, g, o))), x, gain, offset
-    )
-
-
-def test_embedding_grad():
-    w = rng.normal(size=(7, 4))
-    ids = np.array([[1, 3, 3], [0, 6, 2]])
-    check_op(lambda t: tensor_sum(tanh(embedding_lookup(t, ids))), w)
 
 
 def test_cross_entropy_matches_direct_formula():
@@ -135,13 +140,6 @@ def test_embedding_of_no_ids_is_empty():
 def test_linear_rejects_input_or_bias_that_does_not_fit_the_weight(x_shape, bias_shape, part):
     with pytest.raises(ShapeError, match=f"linear {part}"):
         linear(Tensor(np.ones(x_shape)), Tensor(np.ones((5, 3))), Tensor(np.ones(bias_shape)))
-
-
-def test_cross_entropy_grad():
-    logits = rng.normal(size=(2, 3, 5))
-    ids = rng.integers(0, 5, size=(2, 3))
-    mask = np.array([[True, False, True], [False, True, True]])
-    check_op(lambda x: cross_entropy(x, ids, mask), logits)
 
 
 def test_backward_needs_a_scalar_with_a_graph():
@@ -207,31 +205,16 @@ def test_no_grad_blocks_graph():
 
 def test_every_op_returns_float64_data():
     # Op results skip Tensor's float64 conversion, so each op must make
-    # float64 ndarrays itself; a new public op must join this list.
-    local = np.random.default_rng(0)
-    seq = Tensor(local.normal(size=(1, 3, 4)), requires_grad=True)
-    weight = Tensor(local.normal(size=(4, 4)), requires_grad=True)
-    bias = Tensor(np.zeros(4), requires_grad=True)
-    ops = {
-        "constant": lambda: constant([[1, 2]]),
-        "add": lambda: add(seq, bias),
-        "relu": lambda: relu(seq),
-        "tanh": lambda: tanh(seq),
-        "tensor_sum": lambda: tensor_sum(seq),
-        "linear": lambda: linear(seq, weight, bias),
-        "attention": lambda: attention(seq, seq, seq, 2, np.ones((1, 3), dtype=bool)),
-        "layer_norm": lambda: layer_norm(seq, bias, bias),
-        "embedding_lookup": lambda: embedding_lookup(weight, np.array([[0, 3]])),
-        "cross_entropy": lambda: cross_entropy(
-            seq, np.array([[0, 1, 3]]), np.ones((1, 3), dtype=bool)
-        ),
-    }
+    # float64 ndarrays itself. A new public op must join OP_CASES, which also
+    # gives it a gradient check: only constant and no_grad have none.
     public = {
         name
         for name, fn in inspect.getmembers(tensor, inspect.isfunction)
         if fn.__module__ == tensor.__name__ and not name.startswith("_")
     }
-    assert sorted(public - {"no_grad"}) == sorted(ops)
-    for name, op in ops.items():
-        out = op()
-        assert type(out.data) is np.ndarray and out.data.dtype == np.float64, name
+    cased = {name for name, _, _ in OP_CASES.values()}
+    assert sorted(public - {"constant", "no_grad"}) == sorted(cased)
+    outs = {case: op(*_inputs(shapes)[1]) for case, (_, shapes, op) in OP_CASES.items()}
+    outs["constant"] = constant([[1, 2]])
+    for case, out in outs.items():
+        assert type(out.data) is np.ndarray and out.data.dtype == np.float64, case
