@@ -7,9 +7,9 @@ finite-difference acceptance gate depends on it.
 The module holds only the ops the corrector runs: ``add``, ``relu``,
 ``tanh``, ``linear``, ``attention`` (the one softmax), ``layer_norm``,
 ``embedding_lookup`` and ``cross_entropy`` (the mean loss over the
-unmasked targets), plus ``tensor_sum``, the scalar reduction the gradient
-checks build their losses from. Masks are boolean arrays, true on real
-content; ``util.as_array`` refuses any other values.
+unmasked targets, and the one scalar reduction: the gradient checks build
+their losses from it too). Masks are boolean arrays, true on real content;
+``util.as_array`` refuses any other values.
 """
 
 from __future__ import annotations
@@ -154,15 +154,6 @@ def tanh(a: Tensor) -> Tensor:
 
     def vjp(g):
         _accumulate(a, g * (1.0 - data * data))
-
-    return _make(data, (a,), vjp)
-
-
-def tensor_sum(a: Tensor) -> Tensor:
-    data = np.asarray(a.data.sum())
-
-    def vjp(g):
-        _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
     return _make(data, (a,), vjp)
 

@@ -8,7 +8,8 @@ punctuation-insensitive by construction.
 
 A JSONL corpus is the program's only file input: one object per line
 with string ``id`` and ``ref``, an optional string ``hyp`` and no other
-key. Frames and their word spans are made in memory (``crossaec.acoustic``).
+key, each given once. Frames and their word spans are made in memory
+(``crossaec.acoustic``).
 """
 
 from __future__ import annotations
@@ -124,6 +125,21 @@ def decode(vocab: Vocabulary, ids: Sequence[int]) -> List[str]:
 _FIELDS = {"id", "ref", "hyp"}
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a field given twice (plain JSON
+    decoding keeps the last value)."""
+    payload = dict(pairs)
+    if len(payload) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        twice = next(key for key, n in counts.items() if n > 1)
+        raise CorpusFormatError(f"duplicate field {twice!r}")
+    return payload
+
+
+# One decoder for every line: ``json.loads`` with a hook builds one per call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_object)
+
+
 def _record_from_payload(payload: dict, where: str) -> CorpusRecord:
     unknown = sorted(payload.keys() - _FIELDS)
     if unknown:
@@ -161,9 +177,13 @@ def load_corpus(path) -> List[CorpusRecord]:
             if not line:
                 continue
             try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
+                payload = _DECODER.decode(line)
+            # The decoder recurses once per nesting level, so a deep line
+            # exhausts the recursion limit.
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+            except CorpusFormatError as exc:
+                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
             if not isinstance(payload, dict):
                 raise CorpusFormatError(f"{path}:{lineno}: record must be an object")
             records.append(_record_from_payload(payload, f"{path}:{lineno}"))

@@ -80,18 +80,18 @@ def test_attention_masked_keys_get_zero_weight():
 
 
 def test_attention_errors():
-    ones = np.ones
+    x = Tensor(np.ones((1, 2, 3)))
+    keep = np.ones((1, 2), dtype=bool)
     with pytest.raises(ShapeError):  # query and key dims differ
-        _attend(ones((2, 3)), ones((2, 4)), ones((2, 4)))
+        attention(x, Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 2, 4))), 1, keep)
     with pytest.raises(ShapeError):  # key and value lengths differ
-        _attend(ones((2, 3)), ones((2, 3)), ones((3, 3)))
+        attention(x, x, Tensor(np.ones((1, 3, 3))), 1, keep)
     with pytest.raises(ShapeError):  # mask does not fit the keys
-        _attend(ones((2, 3)), ones((2, 3)), ones((2, 3)), np.ones(3, dtype=bool))
+        attention(x, x, x, 1, np.ones((1, 3), dtype=bool))
     with pytest.raises(ShapeError):  # heads do not divide dim
-        x = Tensor(ones((1, 2, 3)))
-        attention(x, x, x, 2, np.ones((1, 2), dtype=bool))
-    with pytest.raises(DegenerateInputError):
-        _attend(ones((2, 3)), ones((2, 3)), ones((2, 3)), np.array([False, False]))
+        attention(x, x, x, 2, keep)
+    with pytest.raises(DegenerateInputError):  # every key masked
+        attention(x, x, x, 1, ~keep)
 
 
 @pytest.mark.parametrize("key_mask", [np.ones(3, bool), np.ones((1, 2), bool)])

@@ -105,7 +105,6 @@ CALLERS = SOURCES + [path for path in BENCHMARK if not path.name.startswith("tes
 # Public names with no caller in the package or the benchmark, each with what
 # keeps it: a test tool, or the ROADMAP item whose code will call it.
 RESERVED = {
-    "nn.tensor.tensor_sum": "test tool: every gradient test builds its scalar loss from it",
     "nn.gradcheck.gradient_check": "test tool: the gate of every op and of the whole corrector",
     "nn.config.ModelConfig.from_dict": "item 1c: `crossaec run --config` reads its config",
     "text.decode": "item 1c: greedy decoding turns the corrector's ids back into words",

@@ -1,7 +1,9 @@
 """The autodiff primitives: every op case passes ``gradient_check`` at every
 coordinate within 1e-6, every op returns float64 data, and backward keeps its
 graph contracts. One table of op cases feeds the gradient and dtype tests,
-and every public op but ``constant`` and ``no_grad`` needs a case in it."""
+and every public op but ``constant`` and ``no_grad`` needs a case in it. The
+gradient and backward tests reduce an op's output to a scalar with ``_loss``,
+built from the ops themselves."""
 
 import inspect
 import math
@@ -25,7 +27,6 @@ from crossaec.nn.tensor import (
     no_grad,
     relu,
     tanh,
-    tensor_sum,
 )
 
 rng = np.random.default_rng(7)
@@ -38,7 +39,6 @@ OP_CASES = {
     "add-broadcast": ("add", [(3, 4), (4,)], add),
     "relu": ("relu", [(5, 5)], relu),
     "tanh": ("tanh", [(3, 4)], tanh),
-    "tensor_sum": ("tensor_sum", [(3, 4)], tensor_sum),
     "linear-2d": ("linear", [(4, 5), (5, 3)], linear),
     "linear-2d-bias": ("linear", [(4, 5), (5, 3), (3,)], linear),
     "linear-3d": ("linear", [(2, 3, 5), (5, 3)], linear),
@@ -69,6 +69,19 @@ OP_CASES = {
 }
 
 
+def _loss(out):
+    """A scalar of ``out``: cross-entropy of ``tanh(out)`` over its last axis,
+    or ``tanh(out)`` when ``out`` is a scalar. The rows of cross-entropy's
+    gradient sum to zero, so without the ``tanh`` a VJP term that depends only
+    on the row sums of its incoming gradient would go unchecked."""
+    squashed = tanh(out)
+    if squashed.data.ndim == 0:
+        return squashed
+    classes = squashed.data.shape[-1]
+    ids = np.arange(squashed.data.size // classes).reshape(squashed.data.shape[:-1]) % classes
+    return cross_entropy(squashed, ids, np.ones(ids.shape, dtype=bool))
+
+
 def _inputs(shapes):
     """A store holding one normal random input per shape, and those inputs."""
     store, values = ParameterStore(), np.random.default_rng(7)
@@ -80,7 +93,7 @@ def _inputs(shapes):
 def test_op_gradient_at_every_coordinate(case):
     name, shapes, op = OP_CASES[case]
     store, inputs = _inputs(shapes)
-    assert gradient_check(lambda: tensor_sum(tanh(op(*inputs))), store) <= 1e-6
+    assert gradient_check(lambda: _loss(op(*inputs)), store) <= 1e-6
     if name == "attention":
         # Masked keys take no part in the output, so their gradients are exactly 0.
         _, k, v = inputs
@@ -102,7 +115,7 @@ def _square_wrong_at(t, coordinate):
 def test_gradient_check_finds_one_wrong_coordinate():
     # A VJP wrong at one coordinate of 24 fails the check: every coordinate counts.
     store, (x,) = _inputs([(4, 6)])
-    assert gradient_check(lambda: tensor_sum(_square_wrong_at(x, 5)), store) > 1e-2
+    assert gradient_check(lambda: _loss(_square_wrong_at(x, 5)), store) > 1e-2
 
 
 def test_attention_large_logits_stay_finite():
@@ -146,14 +159,13 @@ def test_backward_needs_a_scalar_with_a_graph():
     with pytest.raises(ShapeError, match="scalar"):
         tanh(Tensor(np.ones(2), requires_grad=True)).backward()
     with pytest.raises(StateError, match="no recorded graph"):
-        tensor_sum(Tensor(np.ones(2))).backward()
+        _loss(Tensor(np.ones((1, 2)))).backward()
 
 
 def test_gradient_zero_for_unused_parameter():
     used = Tensor(np.ones((2, 2)), requires_grad=True)
     unused = Tensor(np.ones((2, 2)), requires_grad=True)
-    loss = tensor_sum(tanh(used))
-    loss.backward()
+    _loss(used).backward()
     assert unused.grad is None
     assert used.grad is not None
 
@@ -161,21 +173,23 @@ def test_gradient_zero_for_unused_parameter():
 def test_backward_linearity():
     a = rng.normal(size=(3, 3))
     t1 = Tensor(a, requires_grad=True)
-    loss1 = tensor_sum(tanh(t1))
-    loss1.backward()
+    _loss(t1).backward()
     g1 = t1.grad.copy()
 
     t2 = Tensor(a, requires_grad=True)
-    s2 = tensor_sum(tanh(t2))
+    s2 = _loss(t2)
     add(s2, s2).backward()
     np.testing.assert_allclose(t2.grad, 2.0 * g1, rtol=0, atol=0)
 
 
 def test_grad_accumulates_across_reuse():
-    t = Tensor(np.array([[2.0]]), requires_grad=True)
-    loss = tensor_sum(add(add(t, t), t))
-    loss.backward()
-    np.testing.assert_array_equal(t.grad, [[3.0]])
+    # t + t + t holds the data of 3t, and t's gradient is three copies of the
+    # gradient there, summed: exactly 3 times it.
+    t = Tensor(np.array([[0.5, -1.25, 2.0], [0.1, 0.7, -0.3]]), requires_grad=True)
+    _loss(add(add(t, t), t)).backward()
+    thrice = Tensor(3.0 * t.data, requires_grad=True)
+    _loss(thrice).backward()
+    np.testing.assert_array_equal(t.grad, 3.0 * thrice.grad)
 
 
 def test_second_backward_adds_exactly_one_more_gradient():
@@ -183,7 +197,7 @@ def test_second_backward_adds_exactly_one_more_gradient():
     # replayed by the second, giving 3-4x the leaf gradient instead of 2x.
     a = rng.normal(size=(3, 3))
     t = Tensor(a, requires_grad=True)
-    loss = tensor_sum(tanh(add(tanh(t), Tensor(a))))
+    loss = _loss(add(tanh(t), Tensor(a)))
     loss.backward()
     once = t.grad.copy()
     loss.backward()

@@ -171,8 +171,13 @@ def test_load_corpus_empty_file(tmp_path):
         ('{"id": 1, "ref": "a"}', "id and ref must be strings"),
         ('{"id": "x", "ref": ["a"]}', "id and ref must be strings"),
         ('{"id": "x", "ref": "x y", "hyp": 3}', "hyp must be a string"),
+        ("[" * 100_000, "invalid JSON"),
+        ('{"id": "x", "ref": "a", "id": "y"}', "duplicate field 'id'"),
     ],
-    ids=["not-json", "not-object", "id-not-string", "ref-not-string", "hyp-not-string"],
+    ids=[
+        "not-json", "not-object", "id-not-string", "ref-not-string", "hyp-not-string",
+        "nested-too-deep", "duplicate-field",
+    ],
 )
 def test_load_corpus_names_the_line_of_a_bad_record(tmp_path, line, message):
     path = tmp_path / "bad.jsonl"
