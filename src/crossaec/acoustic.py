@@ -163,26 +163,20 @@ def mean_pool_awe(frames: np.ndarray, boundaries: Sequence[Boundary]) -> np.ndar
 def fft_resample(frames: np.ndarray, target_len: int) -> np.ndarray:
     """Fourier resampling of each feature column to ``target_len`` rows.
 
-    The spectrum keeps bin 0, bins 1..ceil((L-1)/2) and their conjugate
-    images (truncating or zero-padding as needed), then inverse
-    transforms and rescales by L/F. L = F reduces to a full copy.
+    The real spectrum of the F source rows is truncated or zero-padded to
+    L rows, inverse transformed and rescaled by L/F; L = F reduces to a
+    copy. When an even source is upsampled its Nyquist bin, which stands
+    for both +F/2 and -F/2, is split between those two output bins.
     """
     frames = _frame_matrix(frames, "frames")
     if frames.shape[0] < 1:
         raise ShapeError("fft_resample expects at least one frame")
     rows = as_count(target_len, "target_len", ShapeError)
     source_len = frames.shape[0]
-    spectrum = np.fft.fft(frames, axis=0)
-    kept = min(source_len, rows)
-    pos = kept // 2  # == ceil((kept - 1) / 2) for both parities
-    out_spec = np.zeros((rows, frames.shape[1]), dtype=complex)
-    out_spec[0] = spectrum[0]
-    if pos >= 1:
-        out_spec[1 : pos + 1] = spectrum[1 : pos + 1]
-        neg = kept - 1 - pos
-        if neg >= 1:
-            out_spec[rows - neg :] = spectrum[source_len - neg :]
-    return np.fft.ifft(out_spec, axis=0).real * (rows / source_len)
+    spectrum = np.fft.rfft(frames, axis=0)
+    if source_len % 2 == 0 and rows > source_len:
+        spectrum[-1] *= 0.5  # an even source's Nyquist bin stands for +F/2 and -F/2
+    return np.fft.irfft(spectrum, n=rows, axis=0) * (rows / source_len)
 
 
 class DsuSequence(NamedTuple):

@@ -7,7 +7,7 @@ from typing import Callable
 import numpy as np
 
 from crossaec.nn.params import ParameterStore
-from crossaec.nn.tensor import Tensor
+from crossaec.nn.tensor import Tensor, no_grad
 
 # The step of the central differences. The whole corrector's loss has
 # gradients below 1e-7, whose differences at a smaller step are mostly
@@ -22,7 +22,8 @@ def gradient_check(loss_fn: Callable[[], Tensor], store: ParameterStore) -> floa
     ``loss_fn`` must be a pure function of the store's current values.
     Every coordinate of every tensor is perturbed by ±``STEP`` and
     ±2·``STEP``, and the fourth-order central difference of the four losses
-    is its numeric gradient. The relative error for a coordinate is
+    is its numeric gradient; those forwards run under ``no_grad()``, since
+    they need only the loss. The relative error for a coordinate is
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
     The store's tensors keep the analytic gradients afterwards.
     """
@@ -37,7 +38,8 @@ def gradient_check(loss_fn: Callable[[], Tensor], store: ParameterStore) -> floa
             losses = []
             for offset in (STEP, -STEP, 2.0 * STEP, -2.0 * STEP):
                 flat[idx] = original + offset
-                losses.append(float(loss_fn().data))
+                with no_grad():
+                    losses.append(float(loss_fn().data))
             flat[idx] = original
             up, down, up2, down2 = losses
             numeric = (8.0 * (up - down) - (up2 - down2)) / (12.0 * STEP)

@@ -8,8 +8,9 @@ punctuation-insensitive by construction.
 
 A JSONL corpus is the program's only file input: one object per line
 with string ``id`` and ``ref``, an optional string ``hyp`` and no other
-key, each given once. Frames and their word spans are made in memory
-(``crossaec.acoustic``).
+key, each given once. A UTF-8 byte-order mark, which some editors write
+at the start of the file, is ignored. Frames and their word spans are
+made in memory (``crossaec.acoustic``).
 """
 
 from __future__ import annotations
@@ -88,12 +89,10 @@ class CorpusRecord:
 def build_vocab(records: Iterable[CorpusRecord]) -> Vocabulary:
     """Frequency-then-lexicographic vocabulary over all corpus words."""
     counts: Counter = Counter()
-    empty = True
     for record in records:
-        empty = False
         counts.update(record.ref_words)
         counts.update(record.hyp_words)
-    if empty:
+    if not counts:
         raise DegenerateInputError("cannot build a vocabulary from an empty corpus")
     return Vocabulary(sorted(counts, key=lambda w: (-counts[w], w)))
 
@@ -140,26 +139,39 @@ def _object(pairs: list) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_object)
 
 
-def _record_from_payload(payload: dict, where: str) -> CorpusRecord:
+def _record(raw: bytes) -> Optional[CorpusRecord]:
+    """One corpus line as a record, or None for a blank line."""
+    try:
+        # "utf-8-sig" would count a bad byte's offset from after the mark.
+        line = raw.decode("utf-8").removeprefix("\ufeff").strip()
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"not UTF-8 (byte {exc.start}: {exc.reason})") from None
+    if not line:
+        return None
+    try:
+        payload = _DECODER.decode(line)
+    # The decoder recurses once per nesting level, so a deep line
+    # exhausts the recursion limit.
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise CorpusFormatError(f"invalid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise CorpusFormatError("record must be an object")
     unknown = sorted(payload.keys() - _FIELDS)
     if unknown:
-        raise CorpusFormatError(f"{where}: unknown fields {unknown}")
+        raise CorpusFormatError(f"unknown fields {unknown}")
     try:
         rec_id = payload["id"]
         ref = payload["ref"]
     except KeyError as exc:
-        raise CorpusFormatError(f"{where}: missing field {exc}") from None
+        raise CorpusFormatError(f"missing field {exc}") from None
     if not isinstance(rec_id, str) or not isinstance(ref, str):
-        raise CorpusFormatError(f"{where}: id and ref must be strings")
+        raise CorpusFormatError("id and ref must be strings")
     hyp = payload.get("hyp", "")
     if not isinstance(hyp, str):
-        raise CorpusFormatError(f"{where}: hyp must be a string")
-    try:
-        return CorpusRecord(
-            id=rec_id, ref_words=normalize_words(ref), hyp_words=normalize_words(hyp)
-        )
-    except CorpusFormatError as exc:
-        raise CorpusFormatError(f"{where}: {exc}") from None
+        raise CorpusFormatError("hyp must be a string")
+    return CorpusRecord(
+        id=rec_id, ref_words=normalize_words(ref), hyp_words=normalize_words(hyp)
+    )
 
 
 def load_corpus(path) -> List[CorpusRecord]:
@@ -169,23 +181,9 @@ def load_corpus(path) -> List[CorpusRecord]:
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: not UTF-8 (byte {exc.start}: {exc.reason})"
-                ) from None
-            if not line:
-                continue
-            try:
-                payload = _DECODER.decode(line)
-            # The decoder recurses once per nesting level, so a deep line
-            # exhausts the recursion limit.
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+                record = _record(raw)
             except CorpusFormatError as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
-            if not isinstance(payload, dict):
-                raise CorpusFormatError(f"{path}:{lineno}: record must be an object")
-            records.append(_record_from_payload(payload, f"{path}:{lineno}"))
+            if record is not None:
+                records.append(record)
     return records
-

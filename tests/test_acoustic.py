@@ -160,9 +160,14 @@ def test_fft_resample_preserves_constant_columns():
         np.testing.assert_allclose(out, 2.5, atol=1e-9)
 
 
-def test_fft_resample_identity_when_lengths_match():
-    frames = np.random.default_rng(1).normal(size=(16, 5))
-    np.testing.assert_allclose(fft_resample(frames, 16), frames, atol=1e-9)
+@pytest.mark.parametrize("source_len", [15, 16])
+@pytest.mark.parametrize("factor", [1, 2, 3])
+def test_fft_resample_interpolates_through_the_source_frames(factor, source_len):
+    # Upsampling by a whole factor keeps every source frame at its own
+    # position; an even source needs its Nyquist bin split for this.
+    frames = np.random.default_rng(1).normal(size=(source_len, 5))
+    out = fft_resample(frames, factor * source_len)
+    np.testing.assert_allclose(out[::factor], frames, rtol=0, atol=1e-12)
 
 
 def test_fft_resample_single_cosine_closed_form():

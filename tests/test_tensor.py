@@ -37,6 +37,7 @@ KEY_MASK = np.array([[True] * 6, [True] * 3 + [False] * 3])
 # argument order), and the call of the op on them.
 OP_CASES = {
     "add-broadcast": ("add", [(3, 4), (4,)], add),
+    "add-keepdims": ("add", [(2, 3, 4), (1, 4)], add),
     "relu": ("relu", [(5, 5)], relu),
     "tanh": ("tanh", [(3, 4)], tanh),
     "linear-2d": ("linear", [(4, 5), (5, 3)], linear),

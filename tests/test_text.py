@@ -143,13 +143,16 @@ def test_normalize_strips_punctuation_keeps_apostrophes():
     assert normalize_words("'quoted'") == ["quoted"]
 
 
-def test_corpus_round_trip(tmp_path):
-    """Hand-written JSONL text loads as the records it spells out."""
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
+def test_corpus_round_trip(tmp_path, bom):
+    """Hand-written JSONL text loads as the records it spells out, with or
+    without a UTF-8 byte-order mark in front."""
     path = tmp_path / "corpus.jsonl"
-    path.write_text(
-        '{"id": "r0", "ref": "A, b!", "hyp": "a"}\n'
-        "\n"
-        '{"hyp": "c d", "id": "r1", "ref": "c"}\n'
+    path.write_bytes(
+        bom
+        + b'{"id": "r0", "ref": "A, b!", "hyp": "a"}\n'
+        b"\n"
+        b'{"hyp": "c d", "id": "r1", "ref": "c"}\n'
     )
     assert load_corpus(path) == [
         CorpusRecord(id="r0", ref_words=["a", "b"], hyp_words=["a"]),
@@ -193,6 +196,14 @@ def test_load_corpus_rejects_non_utf8_bytes_with_line(tmp_path):
     with pytest.raises(CorpusFormatError) as err:
         load_corpus(path)
     assert str(err.value).startswith(f"{path}:2:")
+
+
+def test_load_corpus_counts_a_bad_byte_from_the_start_of_its_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'\xef\xbb\xbf{"id": "x", "ref": "a \xff"}\n')
+    with pytest.raises(CorpusFormatError) as err:
+        load_corpus(path)
+    assert str(err.value) == f"{path}:1: not UTF-8 (byte 25: invalid start byte)"
 
 
 @pytest.mark.parametrize("key", ["boundaries", "frames"])
