@@ -165,8 +165,10 @@ def fft_resample(frames: np.ndarray, target_len: int) -> np.ndarray:
 
     The real spectrum of the F source rows is truncated or zero-padded to
     L rows, inverse transformed and rescaled by L/F; L = F reduces to a
-    copy. When an even source is upsampled its Nyquist bin, which stands
-    for both +F/2 and -F/2, is split between those two output bins.
+    copy. When L != F and N = min(F, L) is even, the shorter side has
+    one Nyquist bin at N/2 for the frequencies +N/2 and -N/2 that the
+    longer side holds apart: that bin is halved when upsampling (split
+    in two) and doubled when downsampling (the two folded into one).
     """
     frames = _frame_matrix(frames, "frames")
     if frames.shape[0] < 1:
@@ -174,8 +176,9 @@ def fft_resample(frames: np.ndarray, target_len: int) -> np.ndarray:
     rows = as_count(target_len, "target_len", ShapeError)
     source_len = frames.shape[0]
     spectrum = np.fft.rfft(frames, axis=0)
-    if source_len % 2 == 0 and rows > source_len:
-        spectrum[-1] *= 0.5  # an even source's Nyquist bin stands for +F/2 and -F/2
+    shared = min(source_len, rows)
+    if shared % 2 == 0 and rows != source_len:
+        spectrum[shared // 2] *= 0.5 if rows > source_len else 2.0
     return np.fft.irfft(spectrum, n=rows, axis=0) * (rows / source_len)
 
 

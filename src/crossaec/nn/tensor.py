@@ -130,7 +130,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
+    try:
+        data = a.data + b.data
+    except ValueError:
+        raise ShapeError(
+            f"cannot add shapes {a.data.shape} and {b.data.shape}"
+        ) from None
 
     def vjp(g):
         _accumulate(a, _unbroadcast(g, a.data.shape))

@@ -1,9 +1,10 @@
 """Vocabulary, word-level tokenization, and the corpus reader.
 
 One token is one word: acoustic vectors are word-aligned, so a 1:1
-token/word mapping keeps that alignment exact. Normalization (lowercase,
-strip punctuation except apostrophes) is applied once at ingestion and
-shared by training and metrics, which makes WER casing- and
+token/word mapping keeps that alignment exact. Normalization (NFC,
+lowercase, words as runs of Unicode letters and digits joined by
+apostrophes, typographic or not) is applied once at ingestion and shared
+by training and metrics, which makes WER casing- and
 punctuation-insensitive by construction.
 
 A JSONL corpus is the program's only file input: one object per line
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
@@ -36,13 +38,16 @@ EOS_ID = 2
 UNK_ID = 3
 SPECIALS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
-_KEEP = re.compile(r"[^a-z0-9' ]+")
+_WORD = re.compile(r"[^\W_]+(?:'+[^\W_]+)*")
 
 
 def normalize_words(text: str) -> List[str]:
-    """Lowercase, drop punctuation except apostrophes, split on whitespace."""
-    cleaned = _KEEP.sub(" ", text.lower())
-    return [w.strip("'") for w in cleaned.split() if w.strip("'")]
+    """The lowercased words of NFC ``text``: runs of Unicode letters and
+    digits joined by inner apostrophes. A typographic apostrophe (U+2019)
+    counts as ``'``; every other character separates words, a combining
+    mark that NFC leaves uncomposed (as in Devanagari) included."""
+    text = unicodedata.normalize("NFC", text).lower().replace("\u2019", "'")
+    return _WORD.findall(text)
 
 
 class Vocabulary:

@@ -170,6 +170,23 @@ def test_fft_resample_interpolates_through_the_source_frames(factor, source_len)
     np.testing.assert_allclose(out[::factor], frames, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("source_len", [15, 16])
+@pytest.mark.parametrize("factor", [2, 3])
+def test_fft_resample_round_trip_returns_the_source(factor, source_len):
+    # Back down to an even F, the two Nyquist bins of the longer signal
+    # fold into F's one.
+    frames = np.random.default_rng(4).normal(size=(source_len, 5))
+    up = fft_resample(frames, factor * source_len)
+    np.testing.assert_allclose(fft_resample(up, source_len), frames, rtol=0, atol=1e-12)
+
+
+def test_fft_resample_folds_the_nyquist_cosine():
+    # Two cycles over 8 frames is the Nyquist cosine (-1)^t over 4.
+    frames = np.cos(math.pi * np.arange(8) / 2)[:, None]
+    out = fft_resample(frames, 4)
+    np.testing.assert_allclose(out[:, 0], [1.0, -1.0, 1.0, -1.0], rtol=0, atol=1e-12)
+
+
 def test_fft_resample_single_cosine_closed_form():
     # One cycle over 16 frames resampled to 8 is one cycle over 8.
     n = np.arange(16)

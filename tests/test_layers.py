@@ -2,8 +2,6 @@
 attention oracle."""
 
 import math
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,13 +15,8 @@ from crossaec.nn.optim import AdamOptimizer
 from crossaec.nn.params import ParameterStore
 from crossaec.nn.tensor import Tensor, attention
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-if str(PERFBENCH) not in sys.path:
-    sys.path.insert(0, str(PERFBENCH))
-
-# The corrector the benchmark trains, read from the benchmark. ROADMAP item 16
-# moves it into the package, and this becomes ``from crossaec.model import Corrector``.
-from corrector import Corrector  # noqa: E402
+# The benchmark's corrector; ROADMAP item 16 moves it into the package.
+from corrector import Corrector
 
 
 def _attend(q, k, v, key_mask=None):
@@ -192,6 +185,13 @@ def test_whole_corrector_gradient_at_every_coordinate():
     # cross-attention, decoder, head and the masked loss, over every parameter.
     model, batch = _corrector_case(0)
     assert gradient_check(lambda: model.loss(batch), model.store) <= 1e-4
+
+
+def test_corrector_rejects_a_source_longer_than_max_seq_len():
+    # Ten source tokens meet the six sinusoidal positions in ``tensor.add``.
+    model, batch = _corrector_case(0)
+    with pytest.raises(ShapeError, match=r"\(1, 10, 8\) and \(6, 8\)"):
+        model.greedy([4] * 10, batch.dsu[0], 1)
 
 
 def _numpy_attention(attn, query_in, kv_in, key_mask, causal):

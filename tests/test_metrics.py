@@ -1,9 +1,7 @@
 """Metric oracles: exhaustive edit-distance checks and frozen BLEU/GLEU fixtures."""
 
-import importlib.util
 import itertools
 from collections import Counter
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -25,16 +23,8 @@ from crossaec.metrics import (
     gleu,
 )
 
-
-# The one brute-force oracle, shared with the benchmark's output checks. It is
-# loaded by path: putting perfbench/ on sys.path would let its run/bench
-# modules shadow other names.
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_reference",
-    Path(__file__).resolve().parent.parent / "perfbench" / "reference.py",
-)
-reference = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(reference)
+# The one brute-force oracle, shared with the benchmark's output checks.
+import reference
 
 
 # Frozen values computed with the reference; asserted against both the

@@ -156,6 +156,11 @@ def test_linear_rejects_input_or_bias_that_does_not_fit_the_weight(x_shape, bias
         linear(Tensor(np.ones(x_shape)), Tensor(np.ones((5, 3))), Tensor(np.ones(bias_shape)))
 
 
+def test_add_rejects_shapes_that_do_not_broadcast():
+    with pytest.raises(ShapeError, match=r"\(2, 3\) and \(4,\)"):
+        add(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
+
+
 def test_backward_needs_a_scalar_with_a_graph():
     with pytest.raises(ShapeError, match="scalar"):
         tanh(Tensor(np.ones(2), requires_grad=True)).backward()

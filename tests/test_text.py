@@ -1,6 +1,7 @@
 """Vocabulary, encode/decode, and corpus reader contracts."""
 
 import json
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -141,6 +142,40 @@ def test_round_trip_identity_on_known_words(words):
 def test_normalize_strips_punctuation_keeps_apostrophes():
     assert normalize_words("Don't STOP, now!") == ["don't", "stop", "now"]
     assert normalize_words("'quoted'") == ["quoted"]
+
+
+def _ascii_words(text):
+    """The ASCII rule: lowercase, every character but a-z, 0-9 and the
+    apostrophe is a space, and apostrophes at a word's ends go."""
+    cleaned = re.sub(r"[^a-z0-9' ]+", " ", text.lower())
+    return [w.strip("'") for w in cleaned.split() if w.strip("'")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters(max_codepoint=127) | st.sampled_from("a'_ -"), max_size=40))
+def test_normalize_follows_the_ascii_rule_on_ascii_text(text):
+    assert normalize_words(text) == _ascii_words(text)
+
+
+@pytest.mark.parametrize(
+    "text, words",
+    [
+        ("Naïve café don\u2019t", ["naïve", "café", "don't"]),
+        ("cafe\u0301", ["café"]),  # NFC composes e + combining acute
+        ("É", ["é"]),
+        ("\u2019tis Straße", ["tis", "straße"]),
+        ("Москва, 東京!", ["москва", "東京"]),
+    ],
+    ids=["latin", "combining-accent", "capital", "typographic-apostrophe", "cyrillic-cjk"],
+)
+def test_normalize_keeps_unicode_letters_and_typographic_apostrophes(text, words):
+    assert normalize_words(text) == words
+
+
+def test_a_reference_of_non_ascii_letters_is_not_empty(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "1", "ref": "\u00e9"}\n', encoding="utf-8")
+    assert [r.ref_words for r in load_corpus(path)] == [["é"]]
 
 
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
