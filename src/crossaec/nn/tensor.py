@@ -1,8 +1,19 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-Every primitive stores a vector-Jacobian closure; ``Tensor.backward``
-replays them in reverse topological order. All math is 64-bit: the
-finite-difference acceptance gate depends on it.
+Every primitive records a small graph vertex (``_Vertex``) holding the
+vertices of its inputs and a vector-Jacobian closure that returns one
+gradient per input; ``Tensor.backward`` replays them in reverse
+topological order. A leaf that requires grad is its own vertex. All math
+is 64-bit: the finite-difference acceptance gate depends on it.
+
+The graph holds no arrays of its own: a VJP keeps only the arrays its
+formula reads, so an op output that no VJP reads is freed as soon as the
+caller drops it. ``add`` keeps only shapes, ``relu`` its ``keep`` mask,
+``tanh`` its own output, ``linear`` the 2D view of its input and the
+weight array, ``attention`` the q/k/v head views and ``probs``,
+``layer_norm`` ``xhat``, ``inv`` and the gain array, ``embedding_lookup``
+the ids and the weight's shape, and ``cross_entropy`` ``expd``, ``total``,
+the ids and the position weights.
 
 The module holds only the ops the corrector runs: ``add``, ``relu``,
 ``tanh``, ``linear``, ``attention`` (the one softmax), ``layer_norm``,
@@ -38,46 +49,70 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-class Tensor:
-    """A float64 ndarray plus an optional gradient and backward closure."""
+class _Vertex:
+    """The graph record of one op output: its gradient while backward runs,
+    the vertices of its inputs (None for an input that needs no gradient)
+    and the VJP, which maps the output's gradient to one per input."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("grad", "_parents", "_vjp")
+
+    def __init__(self, parents: tuple, vjp: Callable[[np.ndarray], tuple]):
+        self.grad: Optional[np.ndarray] = None
+        self._parents = parents
+        self._vjp = vjp
+
+
+class Tensor:
+    """A float64 ndarray plus an optional gradient and graph vertex."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_vertex")
+    # A leaf is its own vertex: no parents and no VJP.
+    _parents: tuple = ()
+    _vjp = None
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self._parents: tuple = ()
-        self._vjp: Optional[Callable[[np.ndarray], None]] = None
+        self._vertex: Optional[_Vertex] = None
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable leaf."""
+        """Accumulate gradients of this scalar into every reachable leaf.
+
+        Each vertex's VJP runs once, in reverse topological order, and its
+        gradients are added into the vertices of its inputs. Interior
+        gradients are freed once spent, so a second call on the same loss
+        adds exactly one more gradient to each leaf; the arrays the VJPs
+        read stay alive with the loss.
+        """
         if self.data.size != 1:
             raise ShapeError("backward requires a scalar loss")
         if not self.requires_grad:
             raise StateError("backward on a tensor with no recorded graph")
-        topo: list[Tensor] = []
+        root = self._vertex or self
+        topo: list = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list = [(root, False)]
         while stack:
-            node, expanded = stack.pop()
+            vertex, expanded = stack.pop()
             if expanded:
-                topo.append(node)
+                topo.append(vertex)
                 continue
-            if id(node) in seen:
+            if id(vertex) in seen:
                 continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
+            seen.add(id(vertex))
+            stack.append((vertex, True))
+            for parent in vertex._parents:
+                if parent is not None and id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._vjp is not None:
-                node._vjp(node.grad)
-                # Interior grads are spent: freeing them keeps memory down
-                # and makes a second backward add exactly one more gradient.
-                node.grad = None
+        root.grad = np.ones_like(self.data)
+        for vertex in reversed(topo):
+            if vertex._vjp is not None:
+                grads = vertex._vjp(vertex.grad)
+                vertex.grad = None
+                for parent, g in zip(vertex._parents, grads):
+                    if parent is not None:
+                        parent.grad = g if parent.grad is None else parent.grad + g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -89,31 +124,28 @@ def constant(data) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple, vjp: Callable) -> Tensor:
-    """Wrap an op result, recording the graph only when it matters.
+    """Wrap an op result, recording a vertex only when it matters.
 
-    Every op computes float64 ``data`` from float64 inputs, so the result
-    skips ``Tensor.__init__``'s conversion.
+    ``vjp`` returns one gradient per parent, in order; the ones of parents
+    that need no gradient are ignored. Every op computes float64 ``data``
+    from float64 inputs, so the result skips ``Tensor.__init__``'s
+    conversion.
     """
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out.requires_grad = False
-    out._parents = ()
-    out._vjp = None
+    out._vertex = None
     if _GRAD_ENABLED:
         for parent in parents:
             if parent.requires_grad:
                 out.requires_grad = True
-                out._parents = parents
-                out._vjp = vjp
+                out._vertex = _Vertex(
+                    tuple((p._vertex or p) if p.requires_grad else None for p in parents),
+                    vjp,
+                )
                 break
     return out
-
-
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -136,20 +168,20 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"cannot add shapes {a.data.shape} and {b.data.shape}"
         ) from None
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def vjp(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _make(data, (a, b), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
     keep = a.data > 0
-    data = np.where(keep, a.data, 0.0)
+    data = np.maximum(a.data, 0.0)
 
     def vjp(g):
-        _accumulate(a, np.where(keep, g, 0.0))
+        return (g * keep,)
 
     return _make(data, (a,), vjp)
 
@@ -158,7 +190,7 @@ def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
 
     def vjp(g):
-        _accumulate(a, g * (1.0 - data * data))
+        return (g * (1.0 - data * data),)
 
     return _make(data, (a,), vjp)
 
@@ -169,32 +201,30 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     The leading axes of ``x`` fold into rows, so the forward pass and
     each gradient are single 2D matrix products.
     """
-    d_in, d_out = weight.data.shape
-    if x.data.shape[-1] != d_in:
-        raise ShapeError(
-            f"linear input {x.data.shape} does not match weight {weight.data.shape}"
-        )
+    w = weight.data
+    d_in, d_out = w.shape
+    x_shape = x.data.shape
+    if x_shape[-1] != d_in:
+        raise ShapeError(f"linear input {x_shape} does not match weight {w.shape}")
     if bias is not None and bias.data.shape != (d_out,):
         raise ShapeError(
             f"linear bias {bias.data.shape} does not match {d_out} outputs"
         )
-    lead = x.data.shape[:-1]
     x2 = x.data.reshape(-1, d_in)
-    out = x2 @ weight.data
+    out = x2 @ w
     if bias is not None:
         out += bias.data
     parents = (x, weight) if bias is None else (x, weight, bias)
+    need_x, need_w, has_bias = x.requires_grad, weight.requires_grad, bias is not None
 
     def vjp(g):
         g2 = g.reshape(-1, d_out)
-        if x.requires_grad:
-            _accumulate(x, (g2 @ weight.data.T).reshape(x.data.shape))
-        if weight.requires_grad:
-            _accumulate(weight, x2.T @ g2)
-        if bias is not None:
-            _accumulate(bias, g2.sum(axis=0))
+        gx = (g2 @ w.T).reshape(x_shape) if need_x else None
+        gw = x2.T @ g2 if need_w else None
+        # With no bias there are two parents, and backward's zip stops there.
+        return gx, gw, g2.sum(axis=0) if has_bias else None
 
-    return _make(out.reshape(*lead, d_out), parents, vjp)
+    return _make(out.reshape(*x_shape[:-1], d_out), parents, vjp)
 
 
 def attention(
@@ -249,21 +279,20 @@ def attention(
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     out = (probs @ vh).swapaxes(1, 2).reshape(batch, lq, dim)
+    need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
 
     def merge(gh):
         return gh.swapaxes(1, 2).reshape(batch, -1, dim)
 
     def vjp(g):
         gh = g.reshape(batch, lq, num_heads, dh).swapaxes(1, 2)
-        if v.requires_grad:
-            _accumulate(v, merge(probs.swapaxes(-1, -2) @ gh))
+        gv = merge(probs.swapaxes(-1, -2) @ gh) if need_v else None
         gprobs = gh @ vh.swapaxes(-1, -2)
         glogits = probs * (gprobs - (gprobs * probs).sum(axis=-1, keepdims=True))
         glogits *= factor
-        if q.requires_grad:
-            _accumulate(q, merge(glogits @ kh))
-        if k.requires_grad:
-            _accumulate(k, merge(glogits.swapaxes(-1, -2) @ qh))
+        gq = merge(glogits @ kh) if need_q else None
+        gk = merge(glogits.swapaxes(-1, -2) @ qh) if need_k else None
+        return gq, gk, gv
 
     return _make(out, (q, k, v), vjp)
 
@@ -281,32 +310,35 @@ def layer_norm(x: Tensor, gain: Tensor, offset: Tensor) -> Tensor:
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
-    data = xhat * gain.data
+    gain_data = gain.data
+    data = xhat * gain_data
     data += offset.data
+    offset_shape = offset.data.shape
 
     def vjp(g):
-        _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
-        _accumulate(offset, _unbroadcast(g, offset.data.shape))
-        gx = g * gain.data
+        ggain = _unbroadcast(g * xhat, gain_data.shape)
+        goffset = _unbroadcast(g, offset_shape)
+        gx = g * gain_data
         mean_gx = gx.sum(axis=-1, keepdims=True) / n
         mean_gx_xhat = (gx * xhat).sum(axis=-1, keepdims=True) / n
         gx -= mean_gx
         gx -= xhat * mean_gx_xhat
         gx *= inv
-        _accumulate(x, gx)
+        return gx, ggain, goffset
 
     return _make(data, (x, gain, offset), vjp)
 
 
 def embedding_lookup(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Rows of ``weight`` picked by token ids in [0, vocabulary size)."""
-    ids = token_ids(ids, weight.data.shape[0])
+    shape = weight.data.shape
+    ids = token_ids(ids, shape[0])
     data = weight.data[ids]
 
     def vjp(g):
-        gw = np.zeros_like(weight.data)
-        np.add.at(gw, ids.reshape(-1), g.reshape(-1, weight.data.shape[-1]))
-        _accumulate(weight, gw)
+        gw = np.zeros(shape)
+        np.add.at(gw, ids.reshape(-1), g.reshape(-1, shape[-1]))
+        return (gw,)
 
     return _make(data, (weight,), vjp)
 
@@ -341,6 +373,6 @@ def cross_entropy(logits: Tensor, target_ids: np.ndarray, pad_mask: np.ndarray) 
         at_target = np.take_along_axis(probs, ids[..., None], axis=-1) - 1.0
         np.put_along_axis(probs, ids[..., None], at_target, axis=-1)
         probs *= (w * float(g))[..., None]
-        _accumulate(logits, probs)
+        return (probs,)
 
     return _make(data, (logits,), vjp)

@@ -7,6 +7,7 @@ built from the ops themselves."""
 
 import inspect
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ def _square_wrong_at(t, coordinate):
     def vjp(g):
         grad = 2.0 * t.data * g
         grad.reshape(-1)[coordinate] *= 3.0
-        t.grad = grad if t.grad is None else t.grad + grad
+        return (grad,)
 
     return tensor._make(t.data * t.data, (t,), vjp)
 
@@ -208,6 +209,44 @@ def test_second_backward_adds_exactly_one_more_gradient():
     once = t.grad.copy()
     loss.backward()
     np.testing.assert_array_equal(t.grad, 2.0 * once)
+
+
+# Ops whose VJPs read none of their input's data: relu keeps its mask, tanh
+# its own output, add shapes, cross_entropy its exponentials. Each maps an
+# output of shape (2, 3, 5) to a scalar loss.
+CONSUMERS = {
+    "relu": lambda h: _loss(relu(h)),
+    "tanh": _loss,
+    "add": lambda h: _loss(add(h, constant(np.ones(5)))),
+    "cross_entropy": lambda h: cross_entropy(
+        h, [[4, 0, 2], [1, 1, 3]], np.ones((2, 3), dtype=bool)
+    ),
+}
+PRODUCERS = {
+    "linear": linear,
+    "add": lambda x, w, b: add(linear(x, w), b),
+}
+
+
+@pytest.mark.parametrize("producer", sorted(PRODUCERS))
+@pytest.mark.parametrize("consumer", sorted(CONSUMERS))
+def test_graph_frees_an_output_no_vjp_reads(producer, consumer):
+    # Once the caller drops h, nothing in the loss's graph holds its data,
+    # and backward gives the gradients of a run that kept h alive.
+    store, inputs = _inputs([(2, 3, 4), (4, 5), (5,)])
+    make, consume = PRODUCERS[producer], CONSUMERS[consumer]
+    h = make(*inputs)
+    consume(h).backward()
+    kept = [param.grad for _, param in store.items()]
+    store.zero_grad()
+    h = make(*inputs)
+    freed = weakref.ref(h.data)
+    loss = consume(h)
+    del h
+    assert freed() is None
+    loss.backward()
+    for (_, param), grad in zip(store.items(), kept):
+        np.testing.assert_array_equal(param.grad, grad)
 
 
 def test_no_grad_blocks_graph():
