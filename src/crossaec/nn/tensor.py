@@ -1,10 +1,10 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-Every primitive records a small graph vertex (``_Vertex``) holding the
-vertices of its inputs and a vector-Jacobian closure that returns one
-gradient per input; ``Tensor.backward`` replays them in reverse
-topological order. A leaf that requires grad is its own vertex. All math
-is 64-bit: the finite-difference acceptance gate depends on it.
+A tensor is in the graph iff it has a vertex: a leaf that requires grad is
+its own, and an op output with any such input gets a ``_Vertex``. A VJP
+returns one gradient per input; ``Tensor.backward`` replays the VJPs in
+reverse topological order and keeps the gradients of inputs with a vertex.
+All math is 64-bit: the finite-difference acceptance gate depends on it.
 
 The graph holds no arrays of its own: a VJP keeps only the arrays its
 formula reads, so an op output that no VJP reads is freed as soon as the
@@ -51,8 +51,8 @@ def no_grad():
 
 class _Vertex:
     """The graph record of one op output: its gradient while backward runs,
-    the vertices of its inputs (None for an input that needs no gradient)
-    and the VJP, which maps the output's gradient to one per input."""
+    the vertices of its inputs (None for an input outside the graph) and
+    the VJP, which maps the output's gradient to one per input."""
 
     __slots__ = ("grad", "_parents", "_vjp")
 
@@ -63,18 +63,22 @@ class _Vertex:
 
 
 class Tensor:
-    """A float64 ndarray plus an optional gradient and graph vertex."""
+    """A finite float64 ndarray plus an optional gradient and graph vertex,
+    the one record of whether it gets a gradient (``requires_grad``)."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_vertex")
+    __slots__ = ("data", "grad", "_vertex")
     # A leaf is its own vertex: no parents and no VJP.
     _parents: tuple = ()
     _vjp = None
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = as_array(data, float, "tensor data", ShapeError)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad
-        self._vertex: Optional[_Vertex] = None
+        self._vertex = self if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._vertex is not None
 
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable leaf.
@@ -87,9 +91,9 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ShapeError("backward requires a scalar loss")
-        if not self.requires_grad:
+        root = self._vertex
+        if root is None:
             raise StateError("backward on a tensor with no recorded graph")
-        root = self._vertex or self
         topo: list = []
         seen: set[int] = set()
         stack: list = [(root, False)]
@@ -124,27 +128,21 @@ def constant(data) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple, vjp: Callable) -> Tensor:
-    """Wrap an op result, recording a vertex only when it matters.
+    """Wrap an op result, with a vertex when any parent has one.
 
-    ``vjp`` returns one gradient per parent, in order; the ones of parents
-    that need no gradient are ignored. Every op computes float64 ``data``
+    ``vjp`` returns one gradient per parent, in order; ``backward`` drops
+    those of parents without a vertex. Every op computes float64 ``data``
     from float64 inputs, so the result skips ``Tensor.__init__``'s
     conversion.
     """
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = False
     out._vertex = None
     if _GRAD_ENABLED:
-        for parent in parents:
-            if parent.requires_grad:
-                out.requires_grad = True
-                out._vertex = _Vertex(
-                    tuple((p._vertex or p) if p.requires_grad else None for p in parents),
-                    vjp,
-                )
-                break
+        vertices = tuple(p._vertex for p in parents)
+        if any(v is not None for v in vertices):
+            out._vertex = _Vertex(vertices, vjp)
     return out
 
 
@@ -215,14 +213,12 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if bias is not None:
         out += bias.data
     parents = (x, weight) if bias is None else (x, weight, bias)
-    need_x, need_w, has_bias = x.requires_grad, weight.requires_grad, bias is not None
+    has_bias = bias is not None
 
     def vjp(g):
         g2 = g.reshape(-1, d_out)
-        gx = (g2 @ w.T).reshape(x_shape) if need_x else None
-        gw = x2.T @ g2 if need_w else None
-        # With no bias there are two parents, and backward's zip stops there.
-        return gx, gw, g2.sum(axis=0) if has_bias else None
+        grads = (g2 @ w.T).reshape(x_shape), x2.T @ g2
+        return (*grads, g2.sum(axis=0)) if has_bias else grads
 
     return _make(out.reshape(*x_shape[:-1], d_out), parents, vjp)
 
@@ -253,7 +249,7 @@ def attention(
     batch, lq, dim = q.data.shape
     lk = k.data.shape[1]
     num_heads = as_count(num_heads, "num_heads", ShapeError)
-    if dim % num_heads:
+    if dim < num_heads or dim % num_heads:
         raise ShapeError(f"dim {dim} does not split into {num_heads} heads")
     key_mask = as_array(key_mask, bool, "key_mask", ShapeError)
     if key_mask.shape != (batch, lk):
@@ -279,20 +275,17 @@ def attention(
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     out = (probs @ vh).swapaxes(1, 2).reshape(batch, lq, dim)
-    need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
 
     def merge(gh):
         return gh.swapaxes(1, 2).reshape(batch, -1, dim)
 
     def vjp(g):
         gh = g.reshape(batch, lq, num_heads, dh).swapaxes(1, 2)
-        gv = merge(probs.swapaxes(-1, -2) @ gh) if need_v else None
+        gv = merge(probs.swapaxes(-1, -2) @ gh)
         gprobs = gh @ vh.swapaxes(-1, -2)
         glogits = probs * (gprobs - (gprobs * probs).sum(axis=-1, keepdims=True))
         glogits *= factor
-        gq = merge(glogits @ kh) if need_q else None
-        gk = merge(glogits.swapaxes(-1, -2) @ qh) if need_k else None
-        return gq, gk, gv
+        return merge(glogits @ kh), merge(glogits.swapaxes(-1, -2) @ qh), gv
 
     return _make(out, (q, k, v), vjp)
 
@@ -302,8 +295,13 @@ LAYER_NORM_EPS = 1e-5
 
 def layer_norm(x: Tensor, gain: Tensor, offset: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (variance plus
-    ``LAYER_NORM_EPS``), then rescale."""
+    ``LAYER_NORM_EPS``), then rescale by a (d,) gain and offset."""
     n = x.data.shape[-1]
+    if gain.data.shape != (n,) or offset.data.shape != (n,):
+        raise ShapeError(
+            f"layer_norm gain {gain.data.shape} and offset {offset.data.shape} "
+            f"are not ({n},)"
+        )
     # sum / n is what ndarray.mean computes, without its wrapper's cost.
     mu = x.data.sum(axis=-1, keepdims=True) / n
     xhat = x.data - mu
@@ -313,11 +311,10 @@ def layer_norm(x: Tensor, gain: Tensor, offset: Tensor) -> Tensor:
     gain_data = gain.data
     data = xhat * gain_data
     data += offset.data
-    offset_shape = offset.data.shape
 
     def vjp(g):
-        ggain = _unbroadcast(g * xhat, gain_data.shape)
-        goffset = _unbroadcast(g, offset_shape)
+        ggain = _unbroadcast(g * xhat, (n,))
+        goffset = _unbroadcast(g, (n,))
         gx = g * gain_data
         mean_gx = gx.sum(axis=-1, keepdims=True) / n
         mean_gx_xhat = (gx * xhat).sum(axis=-1, keepdims=True) / n
@@ -330,8 +327,10 @@ def layer_norm(x: Tensor, gain: Tensor, offset: Tensor) -> Tensor:
 
 
 def embedding_lookup(weight: Tensor, ids: np.ndarray) -> Tensor:
-    """Rows of ``weight`` picked by token ids in [0, vocabulary size)."""
+    """Rows of a 2D ``weight`` picked by token ids in [0, vocabulary size)."""
     shape = weight.data.shape
+    if len(shape) != 2:
+        raise ShapeError(f"embedding weight {shape} is not 2D")
     ids = token_ids(ids, shape[0])
     data = weight.data[ids]
 

@@ -377,6 +377,7 @@ ARRAY_SITES = {
     ),
     "load_state_dict": (ShapeError, "value for w", float, _load_w),
     "create": (ShapeError, "value for w", float, lambda v: ParameterStore().create("w", v)),
+    "Tensor": (ShapeError, "tensor data", float, Tensor),
     "span-ends": (
         AlignmentError,
         "boundary ends",

@@ -103,6 +103,24 @@ def test_op_gradient_at_every_coordinate(case):
         assert (k.grad[masked] == 0.0).all() and (v.grad[masked] == 0.0).all()
 
 
+@pytest.mark.parametrize(
+    "case, held",
+    [
+        (case, held)
+        for case in ("add-broadcast", "attention-cross", "layer_norm", "linear-3d-bias")
+        for held in range(len(OP_CASES[case][1]))
+    ],
+)
+def test_an_input_outside_the_graph_gets_no_gradient(case, held):
+    # Every VJP returns a gradient per input and backward drops the constant's;
+    # the others stay right. The copy keeps the check's steps off the constant.
+    _, shapes, op = OP_CASES[case]
+    store, inputs = _inputs(shapes)
+    inputs[held] = constant(inputs[held].data.copy())
+    assert gradient_check(lambda: _loss(op(*inputs)), store) <= 1e-6
+    assert inputs[held].grad is None
+
+
 def _square_wrong_at(t, coordinate):
     """``t * t``, with a VJP that is right except at one flat coordinate."""
 
@@ -155,6 +173,27 @@ def test_embedding_of_no_ids_is_empty():
 def test_linear_rejects_input_or_bias_that_does_not_fit_the_weight(x_shape, bias_shape, part):
     with pytest.raises(ShapeError, match=f"linear {part}"):
         linear(Tensor(np.ones(x_shape)), Tensor(np.ones((5, 3))), Tensor(np.ones(bias_shape)))
+
+
+@pytest.mark.parametrize(
+    "gain_shape, offset_shape", [((4,), (5,)), ((5,), (3,)), ((1, 5), (5,))]
+)
+def test_layer_norm_rejects_gain_or_offset_not_of_the_last_axis(gain_shape, offset_shape):
+    with pytest.raises(ShapeError, match=r"layer_norm gain .* are not \(5,\)"):
+        layer_norm(
+            Tensor(np.ones((2, 5))), Tensor(np.ones(gain_shape)), Tensor(np.ones(offset_shape))
+        )
+
+
+def test_embedding_rejects_a_weight_that_is_not_2d():
+    with pytest.raises(ShapeError, match=r"embedding weight \(2,\) is not 2D"):
+        embedding_lookup(Tensor(np.ones(2)), [[0, 1]])
+
+
+def test_attention_rejects_a_dim_that_gives_empty_heads():
+    seq = Tensor(np.ones((1, 2, 0)))
+    with pytest.raises(ShapeError, match="dim 0 does not split into 1 heads"):
+        attention(seq, seq, seq, 1, np.ones((1, 2), dtype=bool))
 
 
 def test_add_rejects_shapes_that_do_not_broadcast():
