@@ -4,10 +4,18 @@ Layers own their parameters and compose the primitives of ``nn.tensor``:
 each ``Linear`` is one ``linear`` node, and ``MultiHeadAttention`` is
 four projections around one ``attention`` node, which splits and merges
 the heads itself. ``Encoder`` and ``Decoder`` stack one pre-norm
-``Block``; decoder blocks add a cross-attention to the memory. All
-sequence tensors are batched as (batch, length, model_dim); masks are
-boolean ndarrays shaped (batch, length) with True on real content, and
-only ``attention`` turns them, with the causal rule, into score masks.
+``Block``; decoder blocks add a cross-attention to the memory. Sequence
+tensors enter and leave as (batch, length, model_dim); masks are boolean
+ndarrays shaped (batch, length) with True on real content, and only
+``attention`` turns them, with the causal rule, into score masks.
+
+Between attentions a stack carries packed rows: it gathers the real rows
+of its input and its memory once, into (rows, model_dim) tensors, so the
+norms, projections, feed-forward and residual adds skip the padding, and
+it scatters them back after the final norm, where padded rows read zero.
+Each attention scatters its projected q, k and v into the padded layout
+and gathers its output's real rows. A mask with no padding packs nothing:
+the tensors stay padded and no gather or scatter joins the graph.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import math
 
 import numpy as np
 
+from crossaec.errors import ShapeError
 from crossaec.nn.config import ModelConfig
 from crossaec.nn.params import ParameterStore
 from crossaec.nn.tensor import (
@@ -24,10 +33,13 @@ from crossaec.nn.tensor import (
     attention,
     cross_entropy,
     embedding_lookup,
+    gather_rows,
     layer_norm,
     linear,
     relu,
+    scatter_rows,
 )
+from crossaec.util import as_array
 
 
 def init_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -132,16 +144,43 @@ class MultiHeadAttention:
         kv_in: Tensor,
         key_mask: np.ndarray,
         causal: bool = False,
+        packed: tuple | None = None,
     ) -> Tensor:
-        mixed = attention(
-            self.q_proj(query_in),
-            self.k_proj(kv_in),
-            self.v_proj(kv_in),
-            self.num_heads,
-            key_mask,
-            causal,
-        )
+        """Attend from ``query_in`` to ``kv_in``. With ``packed``, the
+        ``_Rows`` of the query and of the keys, both inputs hold packed rows:
+        their projections are scattered into the padded layout for
+        ``attention``, and its output's real rows gathered back."""
+        q, k, v = self.q_proj(query_in), self.k_proj(kv_in), self.v_proj(kv_in)
+        if packed is not None:
+            query_rows, key_rows = packed
+            q, k, v = query_rows.unpack(q), key_rows.unpack(k), key_rows.unpack(v)
+        mixed = attention(q, k, v, self.num_heads, key_mask, causal)
+        if packed is not None:
+            mixed = query_rows.pack(mixed)
         return self.o_proj(mixed)
+
+
+class _Rows:
+    """The real rows of a (batch, length, dim) tensor, as its (batch, length)
+    mask marks them. When every row is real, packing and unpacking return the
+    tensor they are given, so no gather or scatter joins the graph."""
+
+    __slots__ = ("mask", "padded")
+
+    def __init__(self, mask, x: Tensor, name: str):
+        mask = as_array(mask, bool, name, ShapeError)
+        if x.data.ndim != 3 or mask.shape != x.data.shape[:2]:
+            raise ShapeError(
+                f"{name} {mask.shape} does not match the (batch, length) of {x.data.shape}"
+            )
+        self.mask = mask
+        self.padded = not mask.all()
+
+    def pack(self, x: Tensor) -> Tensor:
+        return gather_rows(x, self.mask) if self.padded else x
+
+    def unpack(self, x: Tensor) -> Tensor:
+        return scatter_rows(x, self.mask) if self.padded else x
 
 
 class Block:
@@ -160,11 +199,16 @@ class Block:
         self.ff_norm = LayerNorm(store, f"{name}.ff_norm", d)
         self.ff = FeedForward(store, f"{name}.ff", d, config.feedforward_dim, rng)
 
-    def __call__(self, x: Tensor, mask: np.ndarray, memory, memory_mask) -> Tensor:
+    def __call__(self, x: Tensor, rows, memory, memory_rows) -> Tensor:
+        """One block over the packed rows ``x`` of ``rows``; a decoder block
+        also attends to the packed rows ``memory`` of ``memory_rows``."""
         normed = self.self_norm(x)
-        x = add(x, self.self_attn(normed, normed, mask, causal=self.decoder))
+        x = add(x, self.self_attn(normed, normed, rows.mask, self.decoder, (rows, rows)))
         if self.decoder:
-            x = add(x, self.cross_attn(self.cross_norm(x), memory, memory_mask))
+            mixed = self.cross_attn(
+                self.cross_norm(x), memory, memory_rows.mask, False, (rows, memory_rows)
+            )
+            x = add(x, mixed)
         return add(x, self.ff(self.ff_norm(x)))
 
 
@@ -181,9 +225,14 @@ class _Stack:
         self.final_norm = LayerNorm(store, f"{name}.final_norm", config.model_dim)
 
     def __call__(self, x: Tensor, mask, memory=None, memory_mask=None) -> Tensor:
+        rows, memory_rows = _Rows(mask, x, "mask"), None
+        x = rows.pack(x)
+        if self.decoder:
+            memory_rows = _Rows(memory_mask, memory, "memory_mask")
+            memory = memory_rows.pack(memory)
         for block in self.blocks:
-            x = block(x, mask, memory, memory_mask)
-        return self.final_norm(x)
+            x = block(x, rows, memory, memory_rows)
+        return rows.unpack(self.final_norm(x))
 
 
 class Encoder(_Stack):

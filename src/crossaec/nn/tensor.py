@@ -12,15 +12,18 @@ caller drops it. ``add`` keeps only shapes, ``relu`` its ``keep`` mask,
 ``tanh`` its own output, ``linear`` the 2D view of its input and the
 weight array, ``attention`` the q/k/v head views and ``probs``,
 ``layer_norm`` ``xhat``, ``inv`` and the gain array, ``embedding_lookup``
-the ids and the weight's shape, and ``cross_entropy`` ``expd``, ``total``,
-the ids and the position weights.
+the ids and the weight's shape, ``gather_rows`` and ``scatter_rows`` only
+the flat index of their mask's true places and the mask's shape, and
+``cross_entropy`` ``expd``, ``total``, the ids and the position weights.
 
 The module holds only the ops the corrector runs: ``add``, ``relu``,
 ``tanh``, ``linear``, ``attention`` (the one softmax), ``layer_norm``,
-``embedding_lookup`` and ``cross_entropy`` (the mean loss over the
-unmasked targets, and the one scalar reduction: the gradient checks build
-their losses from it too). Masks are boolean arrays, true on real content;
-``util.as_array`` refuses any other values.
+``embedding_lookup``, ``gather_rows`` and ``scatter_rows`` (an adjoint
+pair: each one's VJP is the other, and together they pack the real rows
+of a padded batch and put them back) and ``cross_entropy`` (the mean loss
+over the unmasked targets, and the one scalar reduction: the gradient
+checks build their losses from it too). Masks are boolean arrays, true on
+real content; ``util.as_array`` refuses any other values.
 """
 
 from __future__ import annotations
@@ -197,13 +200,14 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """``x @ weight + bias`` over the last axis of ``x``, as one graph node.
 
     The leading axes of ``x`` fold into rows, so the forward pass and
-    each gradient are single 2D matrix products.
+    each gradient are single 2D matrix products; a (rows, d_in) ``x`` of
+    packed rows is already in that form.
     """
     w = weight.data
-    d_in, d_out = w.shape
     x_shape = x.data.shape
-    if x_shape[-1] != d_in:
-        raise ShapeError(f"linear input {x_shape} does not match weight {w.shape}")
+    if w.ndim != 2 or not x_shape or x_shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear input {x_shape} does not match 2D weight {w.shape}")
+    d_in, d_out = w.shape
     if bias is not None and bias.data.shape != (d_out,):
         raise ShapeError(
             f"linear bias {bias.data.shape} does not match {d_out} outputs"
@@ -296,6 +300,8 @@ LAYER_NORM_EPS = 1e-5
 def layer_norm(x: Tensor, gain: Tensor, offset: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (variance plus
     ``LAYER_NORM_EPS``), then rescale by a (d,) gain and offset."""
+    if not x.data.shape or not x.data.shape[-1]:
+        raise ShapeError(f"layer_norm input {x.data.shape} has no last axis to normalize")
     n = x.data.shape[-1]
     if gain.data.shape != (n,) or offset.data.shape != (n,):
         raise ShapeError(
@@ -340,6 +346,50 @@ def embedding_lookup(weight: Tensor, ids: np.ndarray) -> Tensor:
         return (gw,)
 
     return _make(data, (weight,), vjp)
+
+
+def _scatter(rows: np.ndarray, index: np.ndarray, lead: tuple) -> np.ndarray:
+    """Zeros of shape ``(*lead, dim)`` holding ``rows`` at the flat ``index``."""
+    dim = rows.shape[-1]
+    out = np.zeros((*lead, dim))
+    out.reshape(math.prod(lead), dim)[index] = rows
+    return out
+
+
+def gather_rows(x: Tensor, mask) -> Tensor:
+    """The (rows, dim) rows of a (*mask.shape, dim) ``x`` where the boolean
+    ``mask`` is true, in order; the VJP scatters them back."""
+    shape = x.data.shape
+    mask = as_array(mask, bool, "row mask", ShapeError)
+    if shape[:-1] != mask.shape or len(shape) != mask.ndim + 1:
+        raise ShapeError(f"row mask {mask.shape} does not cover the rows of {shape}")
+    index = np.flatnonzero(mask)
+    data = x.data.reshape(mask.size, shape[-1]).take(index, axis=0)
+    lead = mask.shape
+
+    def vjp(g):
+        return (_scatter(g, index, lead),)
+
+    return _make(data, (x,), vjp)
+
+
+def scatter_rows(x: Tensor, mask) -> Tensor:
+    """The (*mask.shape, dim) zeros whose rows where the boolean ``mask`` is
+    true are, in order, the rows of a (rows, dim) ``x``; the VJP gathers them
+    back."""
+    mask = as_array(mask, bool, "row mask", ShapeError)
+    index = np.flatnonzero(mask)
+    if x.data.ndim != 2 or x.data.shape[0] != index.size:
+        raise ShapeError(
+            f"scatter_rows input {x.data.shape} is not the {index.size} rows of its mask"
+        )
+    data = _scatter(x.data, index, mask.shape)
+    size = mask.size
+
+    def vjp(g):
+        return (g.reshape(size, g.shape[-1]).take(index, axis=0),)
+
+    return _make(data, (x,), vjp)
 
 
 def cross_entropy(logits: Tensor, target_ids: np.ndarray, pad_mask: np.ndarray) -> Tensor:

@@ -10,10 +10,16 @@ import pytest
 from crossaec.errors import ConfigurationError, DegenerateInputError, ShapeError
 from crossaec.nn.config import ModelConfig, OptimizerConfig
 from crossaec.nn.gradcheck import gradient_check
-from crossaec.nn.layers import Decoder, MultiHeadAttention, cross_entropy_loss
+from crossaec.nn.layers import (
+    Decoder,
+    Encoder,
+    MultiHeadAttention,
+    _Rows,
+    cross_entropy_loss,
+)
 from crossaec.nn.optim import AdamOptimizer
 from crossaec.nn.params import ParameterStore
-from crossaec.nn.tensor import Tensor, attention
+from crossaec.nn.tensor import Tensor, attention, cross_entropy
 
 # The benchmark's corrector; ROADMAP item 16 moves it into the package.
 from corrector import Corrector
@@ -192,6 +198,109 @@ def test_corrector_rejects_a_source_longer_than_max_seq_len():
     model, batch = _corrector_case(0)
     with pytest.raises(ShapeError, match=r"\(1, 10, 8\) and \(6, 8\)"):
         model.greedy([4] * 10, batch.dsu[0], 1)
+
+
+def _stack_case(stack):
+    """An encoder or decoder at 2 layers and a batch of 3 padded sequences of
+    lengths 5, 3 and 1, over memories of lengths 4, 6 and 2."""
+    config = ModelConfig(
+        model_dim=8, num_heads=2, encoder_layers=2, decoder_layers=2, feedforward_dim=12
+    )
+    store = ParameterStore()
+    model = stack(store, "stack", config, _tiny_rng())
+    data = np.random.default_rng(4)
+    inputs = SimpleNamespace(
+        x=data.normal(size=(3, 5, 8)),
+        mask=_padded([5, 3, 1], 5),
+        memory=data.normal(size=(3, 6, 8)),
+        memory_mask=_padded([4, 6, 2], 6),
+        ids=data.integers(0, 8, size=(3, 5)),
+    )
+    return model, store, inputs
+
+
+def _run_stack(model, store, x, mask, memory, memory_mask, ids):
+    """The stack's output, and the loss of cross-entropy over its real rows
+    with the gradients of every parameter and of the input and the memory."""
+    store.zero_grad()
+    inputs = [Tensor(x, requires_grad=True)]
+    if model.decoder:
+        inputs.append(Tensor(memory, requires_grad=True))
+    out = model(inputs[0], mask, inputs[-1], memory_mask)
+    loss = cross_entropy(out, ids, mask)
+    loss.backward()
+    params = [param.grad for _, param in store.items()]
+    return out.data, float(loss.data), params, [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("stack", [Encoder, Decoder])
+def test_a_padded_batch_matches_its_sequences_run_one_at_a_time(stack):
+    model, store, case = _stack_case(stack)
+    out, loss, params, inputs = _run_stack(
+        model, store, case.x, case.mask, case.memory, case.memory_mask, case.ids
+    )
+    lengths, memory_lengths = case.mask.sum(axis=1), case.memory_mask.sum(axis=1)
+    want_loss = 0.0
+    want_params = [np.zeros_like(g) for g in params]
+    want_inputs = [np.zeros_like(g) for g in inputs]
+    for i, (n, m) in enumerate(zip(lengths, memory_lengths)):
+        one_out, one_loss, one_params, one_inputs = _run_stack(
+            model, store, case.x[i : i + 1, :n], np.ones((1, n), bool),
+            case.memory[i : i + 1, :m], np.ones((1, m), bool), case.ids[i : i + 1, :n],
+        )
+        np.testing.assert_allclose(out[i, :n], one_out[0], rtol=0, atol=1e-12)
+        # The batch loss is the mean over all real rows: each sequence's
+        # loss and gradients count in proportion to its length.
+        share = n / lengths.sum()
+        want_loss += one_loss * share
+        for want, one in zip(want_params, one_params):
+            want += one * share
+        for want, one in zip(want_inputs, one_inputs):
+            want[i, : one.shape[1]] = one[0] * share
+    assert abs(loss - want_loss) <= 1e-12
+    for grad, want in zip(params + inputs, want_params + want_inputs):
+        np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("stack", [Encoder, Decoder])
+def test_values_in_padded_rows_change_nothing(stack):
+    model, store, case = _stack_case(stack)
+    clean = _run_stack(model, store, case.x, case.mask, case.memory, case.memory_mask, case.ids)
+    noise = np.random.default_rng(5)
+    x, memory = case.x.copy(), case.memory.copy()
+    x[~case.mask] = noise.normal(size=((~case.mask).sum(), 8)) * 1e3
+    memory[~case.memory_mask] = noise.normal(size=((~case.memory_mask).sum(), 8)) * 1e3
+    out, loss, params, inputs = _run_stack(
+        model, store, x, case.mask, memory, case.memory_mask, case.ids
+    )
+    np.testing.assert_array_equal(out, clean[0])
+    assert (out[~case.mask] == 0.0).all()
+    assert loss == clean[1]
+    for grad, kept in zip(params + inputs, clean[2] + clean[3]):
+        np.testing.assert_array_equal(grad, kept)
+
+
+def test_packing_with_no_padding_returns_the_tensor_it_is_given():
+    x = Tensor(np.ones((2, 3, 4)))
+    rows = _Rows(np.ones((2, 3), dtype=bool), x, "mask")
+    assert rows.pack(x) is x and rows.unpack(x) is x
+
+
+@pytest.mark.parametrize(
+    "mask, memory_mask",
+    [
+        (np.ones(2, bool), np.ones((1, 3), bool)),
+        (np.ones((1, 3), bool), np.ones((1, 3), bool)),
+        (np.ones((1, 2), bool), np.ones((1, 2), bool)),
+        (np.ones((1, 2), bool), np.ones((3, 1), bool)),
+    ],
+    ids=["1d-mask", "long-mask", "short-memory-mask", "transposed-memory-mask"],
+)
+def test_stacks_refuse_a_mask_that_does_not_fit_their_input(mask, memory_mask):
+    config = ModelConfig(model_dim=4, num_heads=2, decoder_layers=1, feedforward_dim=8)
+    decoder = Decoder(ParameterStore(), "dec", config, _tiny_rng())
+    with pytest.raises(ShapeError, match="does not match the \\(batch, length\\)"):
+        decoder(Tensor(np.ones((1, 2, 4))), mask, Tensor(np.ones((1, 3, 4))), memory_mask)
 
 
 def _numpy_attention(attn, query_in, kv_in, key_mask, causal):

@@ -26,9 +26,16 @@ from crossaec.acoustic import (
 )
 from crossaec.errors import AlignmentError, ConfigurationError, ShapeError, VocabularyError
 from crossaec.nn.config import ModelConfig, OptimizerConfig
-from crossaec.nn.layers import Embedding, cross_entropy_loss
+from crossaec.nn.layers import Decoder, Embedding, Encoder, cross_entropy_loss
 from crossaec.nn.params import ParameterStore
-from crossaec.nn.tensor import Tensor, attention, cross_entropy, embedding_lookup
+from crossaec.nn.tensor import (
+    Tensor,
+    attention,
+    cross_entropy,
+    embedding_lookup,
+    gather_rows,
+    scatter_rows,
+)
 from crossaec.text import Vocabulary, decode, encode
 from crossaec.util import as_array, stable_hash, token_ids
 
@@ -360,6 +367,10 @@ def _load_w(value):
 
 
 _WEIGHT = Tensor(np.zeros((5, 2)))
+_ROW = Tensor(np.ones((1, 4)))
+_STACK_CONFIG = ModelConfig(model_dim=4, num_heads=2, encoder_layers=1, decoder_layers=1)
+_ENCODER = Encoder(ParameterStore(), "enc", _STACK_CONFIG, np.random.default_rng(0))
+_DECODER = Decoder(ParameterStore(), "dec", _STACK_CONFIG, np.random.default_rng(0))
 _LOGITS = Tensor(np.zeros((1, 2, 5)))
 
 # Each array argument: (error type, the name in its message, the kind of its
@@ -386,6 +397,15 @@ ARRAY_SITES = {
     ),
     "token-ids": (VocabularyError, "token ids", int, lambda v: token_ids(v, 5)),
     "attention": (ShapeError, "key_mask", bool, lambda m: attention(_SEQ, _SEQ, _SEQ, 1, m)),
+    "Encoder": (ShapeError, "mask", bool, lambda m: _ENCODER(_SEQ, m)),
+    "Decoder.memory_mask": (
+        ShapeError,
+        "memory_mask",
+        bool,
+        lambda m: _DECODER(_SEQ, np.ones((1, 2), dtype=bool), _SEQ, m),
+    ),
+    "gather_rows": (ShapeError, "row mask", bool, lambda m: gather_rows(_SEQ, m)),
+    "scatter_rows": (ShapeError, "row mask", bool, lambda m: scatter_rows(_ROW, m)),
     "cross_entropy": (
         ShapeError,
         "pad_mask",

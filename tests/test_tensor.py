@@ -23,16 +23,19 @@ from crossaec.nn.tensor import (
     constant,
     cross_entropy,
     embedding_lookup,
+    gather_rows,
     layer_norm,
     linear,
     no_grad,
     relu,
+    scatter_rows,
     tanh,
 )
 
 rng = np.random.default_rng(7)
 
 KEY_MASK = np.array([[True] * 6, [True] * 3 + [False] * 3])
+ROW_MASK = np.arange(4) < np.array([[3], [2]])
 
 # Each op case: the op it checks, the shapes of its inputs (in the op's
 # argument order), and the call of the op on them.
@@ -61,6 +64,9 @@ OP_CASES = {
         [(7, 4)],
         lambda w: embedding_lookup(w, [[1, 3, 3], [0, 6, 2]]),
     ),
+    # The 5 real rows of a (2, 4) mask padded to lengths 3 and 2, and back.
+    "gather_rows": ("gather_rows", [(2, 4, 3)], lambda x: gather_rows(x, ROW_MASK)),
+    "scatter_rows": ("scatter_rows", [(5, 3)], lambda x: scatter_rows(x, ROW_MASK)),
     "cross_entropy": (
         "cross_entropy",
         [(2, 3, 5)],
@@ -176,6 +182,15 @@ def test_linear_rejects_input_or_bias_that_does_not_fit_the_weight(x_shape, bias
 
 
 @pytest.mark.parametrize(
+    "x, weight", [(np.ones(3), np.ones(3)), (np.array(1.0), np.ones((1, 2)))],
+    ids=["1d-weight", "0d-input"],
+)
+def test_linear_rejects_a_weight_that_is_not_2d_or_an_input_with_no_axis(x, weight):
+    with pytest.raises(ShapeError, match="linear input .* does not match 2D weight"):
+        linear(Tensor(x), Tensor(weight))
+
+
+@pytest.mark.parametrize(
     "gain_shape, offset_shape", [((4,), (5,)), ((5,), (3,)), ((1, 5), (5,))]
 )
 def test_layer_norm_rejects_gain_or_offset_not_of_the_last_axis(gain_shape, offset_shape):
@@ -183,6 +198,33 @@ def test_layer_norm_rejects_gain_or_offset_not_of_the_last_axis(gain_shape, offs
         layer_norm(
             Tensor(np.ones((2, 5))), Tensor(np.ones(gain_shape)), Tensor(np.ones(offset_shape))
         )
+
+
+@pytest.mark.parametrize("shape", [(), (2, 0)], ids=["0d", "empty-last-axis"])
+def test_layer_norm_rejects_an_input_with_no_last_axis_to_normalize(shape):
+    with pytest.raises(ShapeError, match="has no last axis to normalize"):
+        layer_norm(Tensor(np.ones(shape)), Tensor(np.ones(0)), Tensor(np.zeros(0)))
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 4), (2, 5, 3), (4, 2, 3), (1, 2, 4, 3)],
+    ids=["no-last-axis", "long-rows", "transposed", "extra-axis"],
+)
+def test_gather_rows_refuses_a_mask_that_does_not_cover_the_rows(shape):
+    with pytest.raises(ShapeError, match=r"row mask \(2, 4\) does not cover the rows"):
+        gather_rows(Tensor(np.ones(shape)), ROW_MASK)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (6, 3), (5,), (5, 1, 3)])
+def test_scatter_rows_refuses_an_input_that_is_not_the_rows_of_its_mask(shape):
+    with pytest.raises(ShapeError, match="is not the 5 rows of its mask"):
+        scatter_rows(Tensor(np.ones(shape)), ROW_MASK)
+
+
+def test_scatter_rows_puts_zeros_where_the_mask_is_false():
+    out = scatter_rows(Tensor(np.arange(5.0)[:, None]), ROW_MASK).data
+    np.testing.assert_array_equal(out[..., 0], [[0, 1, 2, 0], [3, 4, 0, 0]])
+    np.testing.assert_array_equal(gather_rows(Tensor(out), ROW_MASK).data[:, 0], np.arange(5.0))
 
 
 def test_embedding_rejects_a_weight_that_is_not_2d():
