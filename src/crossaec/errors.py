@@ -32,7 +32,7 @@ class SequenceLengthError(CrossAecError):
 
 
 class CorpusFormatError(CrossAecError):
-    """Corpus file violates the line-delimited record schema."""
+    """Corpus file cannot be read or violates the line-delimited record schema."""
 
     exit_code = 3
 

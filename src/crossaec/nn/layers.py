@@ -9,13 +9,12 @@ tensors enter and leave as (batch, length, model_dim); masks are boolean
 ndarrays shaped (batch, length) with True on real content, and only
 ``attention`` turns them, with the causal rule, into score masks.
 
-Between attentions a stack carries packed rows: it gathers the real rows
-of its input and its memory once, into (rows, model_dim) tensors, so the
-norms, projections, feed-forward and residual adds skip the padding, and
-it scatters them back after the final norm, where padded rows read zero.
+Between attentions a stack carries the packed rows of ``nn.tensor.Rows``:
+it gathers the real rows of its input and its memory once, so the norms,
+projections, feed-forward and residual adds skip the padding, and it
+scatters them back after the final norm, where padded rows read zero.
 Each attention scatters its projected q, k and v into the padded layout
-and gathers its output's real rows. A mask with no padding packs nothing:
-the tensors stay padded and no gather or scatter joins the graph.
+and gathers its output's real rows.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from crossaec.errors import ShapeError
 from crossaec.nn.config import ModelConfig
 from crossaec.nn.params import ParameterStore
 from crossaec.nn.tensor import (
+    Rows,
     Tensor,
     add,
     attention,
@@ -39,7 +39,6 @@ from crossaec.nn.tensor import (
     relu,
     scatter_rows,
 )
-from crossaec.util import as_array
 
 
 def init_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -144,43 +143,30 @@ class MultiHeadAttention:
         kv_in: Tensor,
         key_mask: np.ndarray,
         causal: bool = False,
-        packed: tuple | None = None,
+        packed: tuple[Rows, Rows] | None = None,
     ) -> Tensor:
         """Attend from ``query_in`` to ``kv_in``. With ``packed``, the
-        ``_Rows`` of the query and of the keys, both inputs hold packed rows:
+        ``Rows`` of the query and of the keys, both inputs hold packed rows:
         their projections are scattered into the padded layout for
         ``attention``, and its output's real rows gathered back."""
         q, k, v = self.q_proj(query_in), self.k_proj(kv_in), self.v_proj(kv_in)
         if packed is not None:
-            query_rows, key_rows = packed
-            q, k, v = query_rows.unpack(q), key_rows.unpack(k), key_rows.unpack(v)
+            q_rows, kv_rows = packed
+            q, k, v = scatter_rows(q, q_rows), scatter_rows(k, kv_rows), scatter_rows(v, kv_rows)
         mixed = attention(q, k, v, self.num_heads, key_mask, causal)
         if packed is not None:
-            mixed = query_rows.pack(mixed)
+            mixed = gather_rows(mixed, q_rows)
         return self.o_proj(mixed)
 
 
-class _Rows:
-    """The real rows of a (batch, length, dim) tensor, as its (batch, length)
-    mask marks them. When every row is real, packing and unpacking return the
-    tensor they are given, so no gather or scatter joins the graph."""
-
-    __slots__ = ("mask", "padded")
-
-    def __init__(self, mask, x: Tensor, name: str):
-        mask = as_array(mask, bool, name, ShapeError)
-        if x.data.ndim != 3 or mask.shape != x.data.shape[:2]:
-            raise ShapeError(
-                f"{name} {mask.shape} does not match the (batch, length) of {x.data.shape}"
-            )
-        self.mask = mask
-        self.padded = not mask.all()
-
-    def pack(self, x: Tensor) -> Tensor:
-        return gather_rows(x, self.mask) if self.padded else x
-
-    def unpack(self, x: Tensor) -> Tensor:
-        return scatter_rows(x, self.mask) if self.padded else x
+def _pack(x: Tensor, mask, name: str) -> tuple[Rows, Tensor]:
+    """The ``Rows`` of a (batch, length) mask over a 3D ``x``, and its packed ``x``."""
+    rows = Rows(mask, name)
+    if x.data.ndim != 3 or rows.mask.shape != x.data.shape[:2]:
+        raise ShapeError(
+            f"{name} {rows.mask.shape} does not match the (batch, length) of {x.data.shape}"
+        )
+    return rows, gather_rows(x, rows)
 
 
 class Block:
@@ -199,12 +185,13 @@ class Block:
         self.ff_norm = LayerNorm(store, f"{name}.ff_norm", d)
         self.ff = FeedForward(store, f"{name}.ff", d, config.feedforward_dim, rng)
 
-    def __call__(self, x: Tensor, rows, memory, memory_rows) -> Tensor:
+    def __call__(self, x: Tensor, rows: Rows, memory: tuple[Rows, Tensor] | None) -> Tensor:
         """One block over the packed rows ``x`` of ``rows``; a decoder block
-        also attends to the packed rows ``memory`` of ``memory_rows``."""
+        also attends to ``memory``, the ``Rows`` and packed rows of a memory."""
         normed = self.self_norm(x)
         x = add(x, self.self_attn(normed, normed, rows.mask, self.decoder, (rows, rows)))
         if self.decoder:
+            memory_rows, memory = memory
             mixed = self.cross_attn(
                 self.cross_norm(x), memory, memory_rows.mask, False, (rows, memory_rows)
             )
@@ -213,8 +200,8 @@ class Block:
 
 
 class _Stack:
-    """Blocks, then a final norm; each subclass sets ``decoder`` for its blocks,
-    and only a decoder is called with a memory and its mask."""
+    """Blocks, then a final norm; each subclass sets ``decoder`` for its blocks.
+    A decoder needs a memory and its mask, and an encoder takes neither."""
 
     def __init__(self, store, name, config: ModelConfig, rng):
         count = config.decoder_layers if self.decoder else config.encoder_layers
@@ -225,14 +212,15 @@ class _Stack:
         self.final_norm = LayerNorm(store, f"{name}.final_norm", config.model_dim)
 
     def __call__(self, x: Tensor, mask, memory=None, memory_mask=None) -> Tensor:
-        rows, memory_rows = _Rows(mask, x, "mask"), None
-        x = rows.pack(x)
-        if self.decoder:
-            memory_rows = _Rows(memory_mask, memory, "memory_mask")
-            memory = memory_rows.pack(memory)
+        if self.decoder and memory is None:
+            raise ShapeError("a Decoder needs a memory")
+        if not self.decoder and (memory is not None or memory_mask is not None):
+            raise ShapeError("an Encoder takes no memory or memory_mask")
+        rows, x = _pack(x, mask, "mask")
+        packed_memory = _pack(memory, memory_mask, "memory_mask") if self.decoder else None
         for block in self.blocks:
-            x = block(x, rows, memory, memory_rows)
-        return rows.unpack(self.final_norm(x))
+            x = block(x, rows, packed_memory)
+        return scatter_rows(self.final_norm(x), rows)
 
 
 class Encoder(_Stack):

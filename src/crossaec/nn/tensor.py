@@ -13,17 +13,17 @@ caller drops it. ``add`` keeps only shapes, ``relu`` its ``keep`` mask,
 weight array, ``attention`` the q/k/v head views and ``probs``,
 ``layer_norm`` ``xhat``, ``inv`` and the gain array, ``embedding_lookup``
 the ids and the weight's shape, ``gather_rows`` and ``scatter_rows`` only
-the flat index of their mask's true places and the mask's shape, and
-``cross_entropy`` ``expd``, ``total``, the ids and the position weights.
+their ``Rows``' index and mask shape, and ``cross_entropy`` ``expd``,
+``total``, the ids and the position weights.
 
 The module holds only the ops the corrector runs: ``add``, ``relu``,
 ``tanh``, ``linear``, ``attention`` (the one softmax), ``layer_norm``,
 ``embedding_lookup``, ``gather_rows`` and ``scatter_rows`` (an adjoint
-pair: each one's VJP is the other, and together they pack the real rows
-of a padded batch and put them back) and ``cross_entropy`` (the mean loss
-over the unmasked targets, and the one scalar reduction: the gradient
-checks build their losses from it too). Masks are boolean arrays, true on
-real content; ``util.as_array`` refuses any other values.
+pair that packs a batch's real rows, as its ``Rows`` marks them, into
+(rows, dim) and puts them back, or passes an unpadded batch through) and
+``cross_entropy`` (the mean loss over the unmasked targets, and the one
+scalar reduction: the gradient checks build their losses from it too).
+Masks are boolean, true on real content; ``util.as_array`` checks them.
 """
 
 from __future__ import annotations
@@ -356,40 +356,47 @@ def _scatter(rows: np.ndarray, index: np.ndarray, lead: tuple) -> np.ndarray:
     return out
 
 
-def gather_rows(x: Tensor, mask) -> Tensor:
-    """The (rows, dim) rows of a (*mask.shape, dim) ``x`` where the boolean
-    ``mask`` is true, in order; the VJP scatters them back."""
-    shape = x.data.shape
-    mask = as_array(mask, bool, "row mask", ShapeError)
-    if shape[:-1] != mask.shape or len(shape) != mask.ndim + 1:
-        raise ShapeError(f"row mask {mask.shape} does not cover the rows of {shape}")
-    index = np.flatnonzero(mask)
-    data = x.data.reshape(mask.size, shape[-1]).take(index, axis=0)
-    lead = mask.shape
+class Rows:
+    """The real rows of a batch, as a ``mask`` over its leading axes marks them.
+    The mask is checked once, as ``name``; ``padded`` is false if every row is real."""
+
+    __slots__ = ("mask", "index", "padded")
+
+    def __init__(self, mask, name: str):
+        self.mask = as_array(mask, bool, name, ShapeError)
+        self.index = self.mask.ravel().nonzero()[0]
+        self.padded = self.index.size < self.mask.size
+
+
+def gather_rows(x: Tensor, rows: Rows) -> Tensor:
+    """The (rows, dim) real rows of a (*mask.shape, dim) ``x``, in order,
+    or ``x`` itself, unchecked, when nothing is padded; the VJP scatters them back."""
+    if not rows.padded:
+        return x
+    shape, lead, index = x.data.shape, rows.mask.shape, rows.index
+    if shape[:-1] != lead or not shape:
+        raise ShapeError(f"row mask {lead} does not cover the rows of {shape}")
 
     def vjp(g):
         return (_scatter(g, index, lead),)
 
-    return _make(data, (x,), vjp)
+    return _make(x.data.reshape(rows.mask.size, shape[-1]).take(index, axis=0), (x,), vjp)
 
 
-def scatter_rows(x: Tensor, mask) -> Tensor:
-    """The (*mask.shape, dim) zeros whose rows where the boolean ``mask`` is
-    true are, in order, the rows of a (rows, dim) ``x``; the VJP gathers them
-    back."""
-    mask = as_array(mask, bool, "row mask", ShapeError)
-    index = np.flatnonzero(mask)
-    if x.data.ndim != 2 or x.data.shape[0] != index.size:
-        raise ShapeError(
-            f"scatter_rows input {x.data.shape} is not the {index.size} rows of its mask"
-        )
-    data = _scatter(x.data, index, mask.shape)
-    size = mask.size
+def scatter_rows(x: Tensor, rows: Rows) -> Tensor:
+    """The (*mask.shape, dim) zeros whose real rows are, in order, the rows
+    of a (rows, dim) ``x``, or ``x`` itself, unchecked, when nothing is padded; the VJP
+    gathers them back."""
+    if not rows.padded:
+        return x
+    shape, index, size = x.data.shape, rows.index, rows.mask.size
+    if shape[:-1] != (index.size,):
+        raise ShapeError(f"scatter_rows input {shape} is not the {index.size} rows of its mask")
 
     def vjp(g):
         return (g.reshape(size, g.shape[-1]).take(index, axis=0),)
 
-    return _make(data, (x,), vjp)
+    return _make(_scatter(x.data, index, rows.mask.shape), (x,), vjp)
 
 
 def cross_entropy(logits: Tensor, target_ids: np.ndarray, pad_mask: np.ndarray) -> Tensor:

@@ -183,12 +183,15 @@ def load_corpus(path) -> List[CorpusRecord]:
     """Read one JSON record per line; malformed lines carry line numbers."""
     records = []
     # Bytes, decoded line by line, so a bad byte is reported on its line.
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                record = _record(raw)
-            except CorpusFormatError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
-            if record is not None:
-                records.append(record)
+    try:
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    record = _record(raw)
+                except CorpusFormatError as exc:
+                    raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
+                if record is not None:
+                    records.append(record)
+    except OSError as exc:
+        raise CorpusFormatError(f"cannot read {path}: {exc.strerror}") from None
     return records

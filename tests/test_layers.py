@@ -14,14 +14,13 @@ from crossaec.nn.layers import (
     Decoder,
     Encoder,
     MultiHeadAttention,
-    _Rows,
     cross_entropy_loss,
 )
 from crossaec.nn.optim import AdamOptimizer
 from crossaec.nn.params import ParameterStore
 from crossaec.nn.tensor import Tensor, attention, cross_entropy
 
-# The benchmark's corrector; ROADMAP item 16 moves it into the package.
+# The benchmark's corrector; ROADMAP item 1a moves it into the package.
 from corrector import Corrector
 
 
@@ -200,9 +199,9 @@ def test_corrector_rejects_a_source_longer_than_max_seq_len():
         model.greedy([4] * 10, batch.dsu[0], 1)
 
 
-def _stack_case(stack):
-    """An encoder or decoder at 2 layers and a batch of 3 padded sequences of
-    lengths 5, 3 and 1, over memories of lengths 4, 6 and 2."""
+def _stack_case(stack, lengths=(5, 3, 1), memory_lengths=(4, 6, 2)):
+    """An encoder or decoder at 2 layers and a batch of 3 sequences of
+    ``lengths`` (at most 5), over memories of ``memory_lengths`` (at most 6)."""
     config = ModelConfig(
         model_dim=8, num_heads=2, encoder_layers=2, decoder_layers=2, feedforward_dim=12
     )
@@ -211,9 +210,9 @@ def _stack_case(stack):
     data = np.random.default_rng(4)
     inputs = SimpleNamespace(
         x=data.normal(size=(3, 5, 8)),
-        mask=_padded([5, 3, 1], 5),
+        mask=_padded(lengths, 5),
         memory=data.normal(size=(3, 6, 8)),
-        memory_mask=_padded([4, 6, 2], 6),
+        memory_mask=_padded(memory_lengths, 6),
         ids=data.integers(0, 8, size=(3, 5)),
     )
     return model, store, inputs
@@ -226,16 +225,29 @@ def _run_stack(model, store, x, mask, memory, memory_mask, ids):
     inputs = [Tensor(x, requires_grad=True)]
     if model.decoder:
         inputs.append(Tensor(memory, requires_grad=True))
-    out = model(inputs[0], mask, inputs[-1], memory_mask)
+        out = model(inputs[0], mask, inputs[1], memory_mask)
+    else:
+        out = model(inputs[0], mask)
     loss = cross_entropy(out, ids, mask)
     loss.backward()
     params = [param.grad for _, param in store.items()]
     return out.data, float(loss.data), params, [t.grad for t in inputs]
 
 
-@pytest.mark.parametrize("stack", [Encoder, Decoder])
-def test_a_padded_batch_matches_its_sequences_run_one_at_a_time(stack):
-    model, store, case = _stack_case(stack)
+# Input and memory lengths: both padded, one side padded (a decoder's input or
+# its memory), and no padding at all.
+PADDING = {
+    "both": ((5, 3, 1), (4, 6, 2)),
+    "input-only": ((5, 3, 1), (6, 6, 6)),
+    "memory-only": ((5, 5, 5), (4, 6, 2)),
+    "none": ((5, 5, 5), (6, 6, 6)),
+}
+STACK_PADDINGS = [(Encoder, "both"), (Encoder, "none")] + [(Decoder, p) for p in PADDING]
+
+
+@pytest.mark.parametrize("stack, padding", STACK_PADDINGS)
+def test_a_padded_batch_matches_its_sequences_run_one_at_a_time(stack, padding):
+    model, store, case = _stack_case(stack, *PADDING[padding])
     out, loss, params, inputs = _run_stack(
         model, store, case.x, case.mask, case.memory, case.memory_mask, case.ids
     )
@@ -262,6 +274,31 @@ def test_a_padded_batch_matches_its_sequences_run_one_at_a_time(stack):
         np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
 
 
+def _ops_in_graph(out):
+    """The names of the ops with a vertex in the graph of ``out``."""
+    ops, stack, seen = set(), [out._vertex], set()
+    while stack:
+        vertex = stack.pop()
+        if vertex is not None and id(vertex) not in seen:
+            seen.add(id(vertex))
+            if vertex._vjp is not None:
+                ops.add(vertex._vjp.__qualname__.split(".")[0])
+            stack.extend(vertex._parents)
+    return ops
+
+
+@pytest.mark.parametrize("stack, padding", STACK_PADDINGS)
+def test_only_a_padded_batch_puts_row_ops_in_the_graph(stack, padding):
+    model, _, case = _stack_case(stack, *PADDING[padding])
+    x, memory = Tensor(case.x, requires_grad=True), Tensor(case.memory, requires_grad=True)
+    if model.decoder:
+        out = model(x, case.mask, memory, case.memory_mask)
+    else:
+        out = model(x, case.mask)
+    row_ops = {"gather_rows", "scatter_rows"}
+    assert _ops_in_graph(out) & row_ops == (set() if padding == "none" else row_ops)
+
+
 @pytest.mark.parametrize("stack", [Encoder, Decoder])
 def test_values_in_padded_rows_change_nothing(stack):
     model, store, case = _stack_case(stack)
@@ -280,12 +317,6 @@ def test_values_in_padded_rows_change_nothing(stack):
         np.testing.assert_array_equal(grad, kept)
 
 
-def test_packing_with_no_padding_returns_the_tensor_it_is_given():
-    x = Tensor(np.ones((2, 3, 4)))
-    rows = _Rows(np.ones((2, 3), dtype=bool), x, "mask")
-    assert rows.pack(x) is x and rows.unpack(x) is x
-
-
 @pytest.mark.parametrize(
     "mask, memory_mask",
     [
@@ -301,6 +332,23 @@ def test_stacks_refuse_a_mask_that_does_not_fit_their_input(mask, memory_mask):
     decoder = Decoder(ParameterStore(), "dec", config, _tiny_rng())
     with pytest.raises(ShapeError, match="does not match the \\(batch, length\\)"):
         decoder(Tensor(np.ones((1, 2, 4))), mask, Tensor(np.ones((1, 3, 4))), memory_mask)
+
+
+@pytest.mark.parametrize(
+    "stack, memory, memory_mask, message",
+    [
+        (Decoder, None, np.ones((1, 3), bool), "a Decoder needs a memory"),
+        (Decoder, None, None, "a Decoder needs a memory"),
+        (Encoder, Tensor(np.ones((1, 3, 4))), None, "an Encoder takes no memory"),
+        (Encoder, None, np.ones((1, 3), bool), "an Encoder takes no memory or memory_mask"),
+    ],
+    ids=["decoder-without-memory", "decoder-without-either", "encoder-memory", "encoder-mask"],
+)
+def test_stacks_refuse_a_missing_or_unexpected_memory(stack, memory, memory_mask, message):
+    config = ModelConfig(model_dim=4, num_heads=2, encoder_layers=1, decoder_layers=1)
+    model = stack(ParameterStore(), "stack", config, _tiny_rng())
+    with pytest.raises(ShapeError, match=message):
+        model(Tensor(np.ones((1, 2, 4))), np.ones((1, 2), bool), memory, memory_mask)
 
 
 def _numpy_attention(attn, query_in, kv_in, key_mask, causal):

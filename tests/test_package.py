@@ -29,12 +29,12 @@ from crossaec.nn.config import ModelConfig, OptimizerConfig
 from crossaec.nn.layers import Decoder, Embedding, Encoder, cross_entropy_loss
 from crossaec.nn.params import ParameterStore
 from crossaec.nn.tensor import (
+    Rows,
     Tensor,
     attention,
     cross_entropy,
     embedding_lookup,
     gather_rows,
-    scatter_rows,
 )
 from crossaec.text import Vocabulary, decode, encode
 from crossaec.util import as_array, stable_hash, token_ids
@@ -367,7 +367,6 @@ def _load_w(value):
 
 
 _WEIGHT = Tensor(np.zeros((5, 2)))
-_ROW = Tensor(np.ones((1, 4)))
 _STACK_CONFIG = ModelConfig(model_dim=4, num_heads=2, encoder_layers=1, decoder_layers=1)
 _ENCODER = Encoder(ParameterStore(), "enc", _STACK_CONFIG, np.random.default_rng(0))
 _DECODER = Decoder(ParameterStore(), "dec", _STACK_CONFIG, np.random.default_rng(0))
@@ -404,8 +403,7 @@ ARRAY_SITES = {
         bool,
         lambda m: _DECODER(_SEQ, np.ones((1, 2), dtype=bool), _SEQ, m),
     ),
-    "gather_rows": (ShapeError, "row mask", bool, lambda m: gather_rows(_SEQ, m)),
-    "scatter_rows": (ShapeError, "row mask", bool, lambda m: scatter_rows(_ROW, m)),
+    "Rows": (ShapeError, "row mask", bool, lambda m: gather_rows(_SEQ, Rows(m, "row mask"))),
     "cross_entropy": (
         ShapeError,
         "pad_mask",

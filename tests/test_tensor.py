@@ -17,6 +17,7 @@ from crossaec.nn import tensor
 from crossaec.nn.gradcheck import gradient_check
 from crossaec.nn.params import ParameterStore
 from crossaec.nn.tensor import (
+    Rows,
     Tensor,
     add,
     attention,
@@ -35,7 +36,7 @@ from crossaec.nn.tensor import (
 rng = np.random.default_rng(7)
 
 KEY_MASK = np.array([[True] * 6, [True] * 3 + [False] * 3])
-ROW_MASK = np.arange(4) < np.array([[3], [2]])
+ROWS = Rows(np.arange(4) < np.array([[3], [2]]), "row mask")
 
 # Each op case: the op it checks, the shapes of its inputs (in the op's
 # argument order), and the call of the op on them.
@@ -65,8 +66,8 @@ OP_CASES = {
         lambda w: embedding_lookup(w, [[1, 3, 3], [0, 6, 2]]),
     ),
     # The 5 real rows of a (2, 4) mask padded to lengths 3 and 2, and back.
-    "gather_rows": ("gather_rows", [(2, 4, 3)], lambda x: gather_rows(x, ROW_MASK)),
-    "scatter_rows": ("scatter_rows", [(5, 3)], lambda x: scatter_rows(x, ROW_MASK)),
+    "gather_rows": ("gather_rows", [(2, 4, 3)], lambda x: gather_rows(x, ROWS)),
+    "scatter_rows": ("scatter_rows", [(5, 3)], lambda x: scatter_rows(x, ROWS)),
     "cross_entropy": (
         "cross_entropy",
         [(2, 3, 5)],
@@ -212,19 +213,26 @@ def test_layer_norm_rejects_an_input_with_no_last_axis_to_normalize(shape):
 )
 def test_gather_rows_refuses_a_mask_that_does_not_cover_the_rows(shape):
     with pytest.raises(ShapeError, match=r"row mask \(2, 4\) does not cover the rows"):
-        gather_rows(Tensor(np.ones(shape)), ROW_MASK)
+        gather_rows(Tensor(np.ones(shape)), ROWS)
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (6, 3), (5,), (5, 1, 3)])
 def test_scatter_rows_refuses_an_input_that_is_not_the_rows_of_its_mask(shape):
     with pytest.raises(ShapeError, match="is not the 5 rows of its mask"):
-        scatter_rows(Tensor(np.ones(shape)), ROW_MASK)
+        scatter_rows(Tensor(np.ones(shape)), ROWS)
 
 
 def test_scatter_rows_puts_zeros_where_the_mask_is_false():
-    out = scatter_rows(Tensor(np.arange(5.0)[:, None]), ROW_MASK).data
+    out = scatter_rows(Tensor(np.arange(5.0)[:, None]), ROWS).data
     np.testing.assert_array_equal(out[..., 0], [[0, 1, 2, 0], [3, 4, 0, 0]])
-    np.testing.assert_array_equal(gather_rows(Tensor(out), ROW_MASK).data[:, 0], np.arange(5.0))
+    np.testing.assert_array_equal(gather_rows(Tensor(out), ROWS).data[:, 0], np.arange(5.0))
+
+
+def test_row_ops_with_no_padding_return_the_tensor_they_are_given():
+    x = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+    rows = Rows(np.ones((2, 3), dtype=bool), "mask")
+    assert not rows.padded
+    assert gather_rows(x, rows) is x and scatter_rows(x, rows) is x
 
 
 def test_embedding_rejects_a_weight_that_is_not_2d():

@@ -251,6 +251,22 @@ def test_load_corpus_rejects_unknown_fields(tmp_path, key):
     assert str(err.value).startswith(f"{path}:1:")
 
 
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda path: None, "No such file or directory"),
+        (lambda path: path.mkdir(), "Is a directory"),
+    ],
+    ids=["missing", "directory"],
+)
+def test_load_corpus_names_a_path_it_cannot_read(tmp_path, make, reason):
+    path = tmp_path / "corpus.jsonl"
+    make(path)
+    with pytest.raises(CorpusFormatError) as err:
+        load_corpus(path)
+    assert str(err.value) == f"cannot read {path}: {reason}"
+
+
 def test_empty_reference_rejected():
     with pytest.raises(CorpusFormatError):
         CorpusRecord(id="x", ref_words=[])
