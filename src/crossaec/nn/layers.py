@@ -9,12 +9,11 @@ tensors enter and leave as (batch, length, model_dim); masks are boolean
 ndarrays shaped (batch, length) with True on real content, and only
 ``attention`` turns them, with the causal rule, into score masks.
 
-Between attentions a stack carries the packed rows of ``nn.tensor.Rows``:
-it gathers the real rows of its input and its memory once, so the norms,
-projections, feed-forward and residual adds skip the padding, and it
-scatters them back after the final norm, where padded rows read zero.
-Each attention scatters its projected q, k and v into the padded layout
-and gathers its output's real rows.
+A stack carries the packed rows of ``nn.tensor.Rows``: it gathers the
+real rows of its input and its memory once, so the norms, projections,
+feed-forward and residual adds skip the padding and attention reads
+packed rows, and it scatters them back after the final norm, where
+padded rows read zero.
 """
 
 from __future__ import annotations
@@ -138,25 +137,19 @@ class MultiHeadAttention:
         self.o_proj = Linear(store, f"{name}.o_proj", dim, dim, rng)
 
     def __call__(
-        self,
-        query_in: Tensor,
-        kv_in: Tensor,
-        key_mask: np.ndarray,
-        causal: bool = False,
-        packed: tuple[Rows, Rows] | None = None,
+        self, query_in: Tensor, kv_in: Tensor, key_mask, causal=False, queries: Rows | None = None
     ) -> Tensor:
-        """Attend from ``query_in`` to ``kv_in``. With ``packed``, the
-        ``Rows`` of the query and of the keys, both inputs hold packed rows:
-        their projections are scattered into the padded layout for
-        ``attention``, and its output's real rows gathered back."""
+        """Attend from ``query_in`` to ``kv_in``. Packed form: ``queries`` and
+        ``key_mask`` are the ``Rows`` of the queries and keys, and the inputs
+        and output hold their rows as ``gather_rows`` leaves them. Padded form
+        (``queries`` None): (batch, length, dim) inputs and output, a boolean
+        (batch, keys) ``key_mask``, and every query row real."""
+        if queries is None:
+            key_mask = Rows(key_mask, "key_mask")
+            queries = Rows(np.ones(query_in.data.shape[:-1], dtype=bool), "queries")
+            kv_in = gather_rows(kv_in, key_mask)
         q, k, v = self.q_proj(query_in), self.k_proj(kv_in), self.v_proj(kv_in)
-        if packed is not None:
-            q_rows, kv_rows = packed
-            q, k, v = scatter_rows(q, q_rows), scatter_rows(k, kv_rows), scatter_rows(v, kv_rows)
-        mixed = attention(q, k, v, self.num_heads, key_mask, causal)
-        if packed is not None:
-            mixed = gather_rows(mixed, q_rows)
-        return self.o_proj(mixed)
+        return self.o_proj(attention(q, k, v, self.num_heads, queries, key_mask, causal))
 
 
 def _pack(x: Tensor, mask, name: str) -> tuple[Rows, Tensor]:
@@ -189,13 +182,10 @@ class Block:
         """One block over the packed rows ``x`` of ``rows``; a decoder block
         also attends to ``memory``, the ``Rows`` and packed rows of a memory."""
         normed = self.self_norm(x)
-        x = add(x, self.self_attn(normed, normed, rows.mask, self.decoder, (rows, rows)))
+        x = add(x, self.self_attn(normed, normed, rows, self.decoder, rows))
         if self.decoder:
             memory_rows, memory = memory
-            mixed = self.cross_attn(
-                self.cross_norm(x), memory, memory_rows.mask, False, (rows, memory_rows)
-            )
-            x = add(x, mixed)
+            x = add(x, self.cross_attn(self.cross_norm(x), memory, memory_rows, False, rows))
         return add(x, self.ff(self.ff_norm(x)))
 
 

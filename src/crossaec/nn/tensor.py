@@ -10,20 +10,21 @@ The graph holds no arrays of its own: a VJP keeps only the arrays its
 formula reads, so an op output that no VJP reads is freed as soon as the
 caller drops it. ``add`` keeps only shapes, ``relu`` its ``keep`` mask,
 ``tanh`` its own output, ``linear`` the 2D view of its input and the
-weight array, ``attention`` the q/k/v head views and ``probs``,
-``layer_norm`` ``xhat``, ``inv`` and the gain array, ``embedding_lookup``
-the ids and the weight's shape, ``gather_rows`` and ``scatter_rows`` only
-their ``Rows``' index and mask shape, and ``cross_entropy`` ``expd``,
+weight array, ``attention`` the padded q/k/v head views, ``probs`` and
+its two ``Rows``, ``layer_norm`` ``xhat``, ``inv`` and the gain array,
+``embedding_lookup`` the ids and the weight's shape, ``gather_rows`` and
+``scatter_rows`` only their ``Rows``, and ``cross_entropy`` ``expd``,
 ``total``, the ids and the position weights.
 
 The module holds only the ops the corrector runs: ``add``, ``relu``,
 ``tanh``, ``linear``, ``attention`` (the one softmax), ``layer_norm``,
 ``embedding_lookup``, ``gather_rows`` and ``scatter_rows`` (an adjoint
-pair that packs a batch's real rows, as its ``Rows`` marks them, into
-(rows, dim) and puts them back, or passes an unpadded batch through) and
-``cross_entropy`` (the mean loss over the unmasked targets, and the one
+pair that packs a batch's real rows into (rows, dim) and puts them back)
+and ``cross_entropy`` (the mean loss over the unmasked targets, and the one
 scalar reduction: the gradient checks build their losses from it too).
-Masks are boolean, true on real content; ``util.as_array`` checks them.
+The row pair and ``attention`` take the ``Rows`` a mask marks, and
+``attention`` reads packed rows, laying them out padded itself. Masks are
+boolean, true on real content; ``util.as_array`` checks them.
 """
 
 from __future__ import annotations
@@ -227,46 +228,76 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return _make(out.reshape(*x_shape[:-1], d_out), parents, vjp)
 
 
+class Rows:
+    """The real rows of a batch, as a ``mask`` over its leading axes marks them.
+    The mask is checked once, as ``name``; ``padded`` is false if every row is real."""
+
+    __slots__ = ("mask", "index", "padded")
+
+    def __init__(self, mask, name: str):
+        self.mask = as_array(mask, bool, name, ShapeError)
+        self.index = self.mask.ravel().nonzero()[0]
+        self.padded = self.index.size < self.mask.size
+
+
+def _padded(x: np.ndarray, rows: Rows, name: str) -> np.ndarray:
+    """The (*mask.shape, dim) layout, zeros in the padding, of the (rows, dim) real
+    rows ``x`` of ``rows``, or ``x`` itself, unchecked, when nothing is padded."""
+    if not rows.padded:
+        return x
+    if x.shape[:-1] != rows.index.shape:
+        raise ShapeError(f"{name} {x.shape} is not the {rows.index.size} rows of its mask")
+    out = np.zeros((*rows.mask.shape, x.shape[-1]))
+    out.reshape(rows.mask.size, x.shape[-1])[rows.index] = x
+    return out
+
+
+def _real(x: np.ndarray, rows: Rows) -> np.ndarray:
+    """The (rows, dim) real rows, in order, of ``x`` in the (*mask.shape, dim)
+    layout of ``rows``, or ``x`` itself, unchecked, when nothing is padded."""
+    if not rows.padded:
+        return x
+    if x.shape[:-1] != rows.mask.shape or not x.shape:
+        raise ShapeError(f"row mask {rows.mask.shape} does not cover the rows of {x.shape}")
+    return x.reshape(rows.mask.size, x.shape[-1]).take(rows.index, axis=0)
+
+
 def attention(
-    q: Tensor, k: Tensor, v: Tensor, num_heads: int, key_mask: np.ndarray, causal=False
+    q: Tensor, k: Tensor, v: Tensor, num_heads: int, queries: Rows, keys: Rows, causal=False
 ) -> Tensor:
     """Multi-head ``softmax(q k^T / sqrt(d_h)) v`` as one graph node.
 
-    ``q`` is (batch, lq, dim); ``k`` and ``v`` are (batch, lk, dim). Each
-    is split into ``num_heads`` heads of width ``d_h = dim / num_heads``,
-    and the heads are merged back into (batch, lq, dim). ``key_mask`` is
-    a boolean (batch, lk) array, true on real keys; with ``causal``,
-    query i also sees only keys 0..i. This is the one place the padding
-    and causal masks are built; masked keys get exactly zero weight.
+    ``q`` holds the rows of ``queries``, and ``k`` and ``v`` those of ``keys``,
+    as ``gather_rows`` leaves them: (rows, dim) when the mask pads, else
+    (batch, length, dim). The op lays them out padded, splits each into
+    ``num_heads`` heads of width ``d_h = dim / num_heads``, merges the heads
+    and returns the query rows laid out as ``q``. ``keys.mask``, (batch, lk),
+    is the one key mask; with ``causal``, query i also sees only keys 0..i.
+    This is the one place the padding and causal masks are built; masked
+    keys get exactly zero weight.
     """
-    if (
-        q.data.ndim != 3
-        or k.data.ndim != 3
-        or k.data.shape[::2] != q.data.shape[::2]
-        or v.data.shape != k.data.shape
-    ):
+    qp = _padded(q.data, queries, "attention q")
+    kp, vp = _padded(k.data, keys, "attention k"), _padded(v.data, keys, "attention v")
+    lead_q, lead_k, dim = queries.mask.shape, keys.mask.shape, qp.shape[-1:]
+    fits = qp.shape == lead_q + dim and kp.shape == vp.shape == lead_k + dim
+    if not fits or len(lead_q) != 2 or len(lead_k) != 2 or lead_k[0] != lead_q[0]:
         raise ShapeError(
-            f"attention needs (batch, length, dim) q, k and v with one batch "
-            f"and dim and keys and values of one length; got q {q.data.shape}, "
-            f"k {k.data.shape}, v {v.data.shape}"
+            f"attention needs (batch, length, dim) q, k and v of one batch and dim; "
+            f"got q {qp.shape}, k {kp.shape}, v {vp.shape} for masks {lead_q} and {lead_k}"
         )
-    batch, lq, dim = q.data.shape
-    lk = k.data.shape[1]
+    (batch, lq), lk, dim = lead_q, lead_k[1], dim[0]
     num_heads = as_count(num_heads, "num_heads", ShapeError)
     if dim < num_heads or dim % num_heads:
         raise ShapeError(f"dim {dim} does not split into {num_heads} heads")
-    key_mask = as_array(key_mask, bool, "key_mask", ShapeError)
-    if key_mask.shape != (batch, lk):
-        raise ShapeError(f"key_mask {key_mask.shape} is not ({batch}, {lk})")
     dh = dim // num_heads
     factor = 1.0 / math.sqrt(dh)
-    # (batch, heads, length, d_h) views of the projected inputs.
-    qh = q.data.reshape(batch, lq, num_heads, dh).swapaxes(1, 2)
-    kh = k.data.reshape(batch, lk, num_heads, dh).swapaxes(1, 2)
-    vh = v.data.reshape(batch, lk, num_heads, dh).swapaxes(1, 2)
+    # (batch, heads, length, d_h) views of the padded inputs.
+    qh = qp.reshape(batch, lq, num_heads, dh).swapaxes(1, 2)
+    kh = kp.reshape(batch, lk, num_heads, dh).swapaxes(1, 2)
+    vh = vp.reshape(batch, lk, num_heads, dh).swapaxes(1, 2)
     logits = qh @ kh.swapaxes(-1, -2)
     logits *= factor
-    mask = key_mask[:, None, None, :]
+    mask = keys.mask[:, None, None, :]
     if causal:
         # Query i sees keys 0..i, as np.tril would give, but cheaper.
         mask = mask & (np.arange(lk) <= np.arange(lq)[:, None])
@@ -278,20 +309,19 @@ def attention(
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    out = (probs @ vh).swapaxes(1, 2).reshape(batch, lq, dim)
 
-    def merge(gh):
-        return gh.swapaxes(1, 2).reshape(batch, -1, dim)
+    def merge(gh, rows):
+        return _real(gh.swapaxes(1, 2).reshape(batch, -1, dim), rows)
 
     def vjp(g):
-        gh = g.reshape(batch, lq, num_heads, dh).swapaxes(1, 2)
-        gv = merge(probs.swapaxes(-1, -2) @ gh)
+        gh = _padded(g, queries, "gradient").reshape(batch, lq, num_heads, dh).swapaxes(1, 2)
+        gv = merge(probs.swapaxes(-1, -2) @ gh, keys)
         gprobs = gh @ vh.swapaxes(-1, -2)
         glogits = probs * (gprobs - (gprobs * probs).sum(axis=-1, keepdims=True))
         glogits *= factor
-        return merge(glogits @ kh), merge(glogits.swapaxes(-1, -2) @ qh), gv
+        return merge(glogits @ kh, queries), merge(glogits.swapaxes(-1, -2) @ qh, keys), gv
 
-    return _make(out, (q, k, v), vjp)
+    return _make(merge(probs @ vh, queries), (q, k, v), vjp)
 
 
 LAYER_NORM_EPS = 1e-5
@@ -348,39 +378,16 @@ def embedding_lookup(weight: Tensor, ids: np.ndarray) -> Tensor:
     return _make(data, (weight,), vjp)
 
 
-def _scatter(rows: np.ndarray, index: np.ndarray, lead: tuple) -> np.ndarray:
-    """Zeros of shape ``(*lead, dim)`` holding ``rows`` at the flat ``index``."""
-    dim = rows.shape[-1]
-    out = np.zeros((*lead, dim))
-    out.reshape(math.prod(lead), dim)[index] = rows
-    return out
-
-
-class Rows:
-    """The real rows of a batch, as a ``mask`` over its leading axes marks them.
-    The mask is checked once, as ``name``; ``padded`` is false if every row is real."""
-
-    __slots__ = ("mask", "index", "padded")
-
-    def __init__(self, mask, name: str):
-        self.mask = as_array(mask, bool, name, ShapeError)
-        self.index = self.mask.ravel().nonzero()[0]
-        self.padded = self.index.size < self.mask.size
-
-
 def gather_rows(x: Tensor, rows: Rows) -> Tensor:
     """The (rows, dim) real rows of a (*mask.shape, dim) ``x``, in order,
     or ``x`` itself, unchecked, when nothing is padded; the VJP scatters them back."""
     if not rows.padded:
         return x
-    shape, lead, index = x.data.shape, rows.mask.shape, rows.index
-    if shape[:-1] != lead or not shape:
-        raise ShapeError(f"row mask {lead} does not cover the rows of {shape}")
 
     def vjp(g):
-        return (_scatter(g, index, lead),)
+        return (_padded(g, rows, "gradient"),)
 
-    return _make(x.data.reshape(rows.mask.size, shape[-1]).take(index, axis=0), (x,), vjp)
+    return _make(_real(x.data, rows), (x,), vjp)
 
 
 def scatter_rows(x: Tensor, rows: Rows) -> Tensor:
@@ -389,14 +396,11 @@ def scatter_rows(x: Tensor, rows: Rows) -> Tensor:
     gathers them back."""
     if not rows.padded:
         return x
-    shape, index, size = x.data.shape, rows.index, rows.mask.size
-    if shape[:-1] != (index.size,):
-        raise ShapeError(f"scatter_rows input {shape} is not the {index.size} rows of its mask")
 
     def vjp(g):
-        return (g.reshape(size, g.shape[-1]).take(index, axis=0),)
+        return (_real(g, rows),)
 
-    return _make(_scatter(x.data, index, rows.mask.shape), (x,), vjp)
+    return _make(_padded(x.data, rows, "scatter_rows input"), (x,), vjp)
 
 
 def cross_entropy(logits: Tensor, target_ids: np.ndarray, pad_mask: np.ndarray) -> Tensor:

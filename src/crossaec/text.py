@@ -66,7 +66,10 @@ class Vocabulary:
         return self._word_to_id.get(word, UNK_ID)
 
     def word_of(self, idx: int) -> str:
-        return self._id_to_word[int(token_ids(idx, len(self)))]
+        ids = token_ids(idx, len(self))
+        if ids.ndim:
+            raise VocabularyError(f"word_of takes a single id, got shape {ids.shape}")
+        return self._id_to_word[int(ids)]
 
     def to_list(self) -> List[str]:
         return list(self._id_to_word)
@@ -121,9 +124,11 @@ def encode(
 
 
 def decode(vocab: Vocabulary, ids: Sequence[int]) -> List[str]:
-    """Ids back to words, stripping PAD/BOS/EOS; UNK renders as a sentinel."""
-    stripped = {SPECIALS[i] for i in (PAD_ID, BOS_ID, EOS_ID)}
-    return [w for w in map(vocab.word_of, ids) if w not in stripped]
+    """A flat sequence of ids back to words without PAD/BOS/EOS; UNK renders as a sentinel."""
+    ids = token_ids(ids, len(vocab))
+    if ids.ndim != 1:
+        raise VocabularyError(f"decode takes a flat sequence of ids, got shape {ids.shape}")
+    return [vocab.word_of(i) for i in ids.tolist() if i not in (PAD_ID, BOS_ID, EOS_ID)]
 
 
 _FIELDS = {"id", "ref", "hyp"}

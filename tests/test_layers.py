@@ -2,6 +2,7 @@
 attention oracle."""
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,18 +19,20 @@ from crossaec.nn.layers import (
 )
 from crossaec.nn.optim import AdamOptimizer
 from crossaec.nn.params import ParameterStore
-from crossaec.nn.tensor import Tensor, attention, cross_entropy
+from crossaec.nn.tensor import Rows, Tensor, attention, cross_entropy
 
 # The benchmark's corrector; ROADMAP item 1a moves it into the package.
 from corrector import Corrector
 
 
 def _attend(q, k, v, key_mask=None):
-    """Single-head ``attention`` over 2D (length, d) matrices."""
-    lk = len(k)
-    mask = np.ones(lk, dtype=bool) if key_mask is None else key_mask
-    out = attention(Tensor(q[None]), Tensor(k[None]), Tensor(v[None]), 1, mask[None])
-    return out.data[0]
+    """Single-head ``attention`` over 2D (length, d) matrices, at batch 1;
+    with ``key_mask``, ``k`` and ``v`` hold only the keys it marks real."""
+    keys = Rows(np.ones((1, len(k)), bool) if key_mask is None else key_mask[None], "keys")
+    if not keys.padded:
+        k, v = k[None], v[None]
+    queries = Rows(np.ones((1, len(q)), dtype=bool), "queries")
+    return attention(Tensor(q[None]), Tensor(k), Tensor(v), 1, queries, keys).data[0]
 
 
 def test_attention_single_key_returns_value():
@@ -72,24 +75,29 @@ def test_attention_masked_keys_get_zero_weight():
     k = rng.normal(size=(4, 3))
     v = rng.normal(size=(4, 3))
     mask = np.array([True, False, True, False])
-    out = _attend(q, k, v, mask)
-    # Equivalent to attention over only the kept rows.
+    out = _attend(q, k[mask], v[mask], mask)
+    # The padding the op lays out between the kept keys gets no weight.
     np.testing.assert_allclose(out, _attend(q, k[mask], v[mask]), atol=1e-12)
 
 
 def test_attention_errors():
     x = Tensor(np.ones((1, 2, 3)))
-    keep = np.ones((1, 2), dtype=bool)
+    keep = Rows(np.ones((1, 2), dtype=bool), "mask")
     with pytest.raises(ShapeError):  # query and key dims differ
-        attention(x, Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 2, 4))), 1, keep)
+        attention(x, Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 2, 4))), 1, keep, keep)
     with pytest.raises(ShapeError):  # key and value lengths differ
-        attention(x, x, Tensor(np.ones((1, 3, 3))), 1, keep)
+        attention(x, x, Tensor(np.ones((1, 3, 3))), 1, keep, keep)
     with pytest.raises(ShapeError):  # mask does not fit the keys
-        attention(x, x, x, 1, np.ones((1, 3), dtype=bool))
+        attention(x, x, x, 1, keep, Rows(np.ones((1, 3), dtype=bool), "mask"))
+    with pytest.raises(ShapeError):  # keys are not the packed rows of their mask
+        attention(x, x, x, 1, keep, Rows([[True, False]], "mask"))
+    with pytest.raises(ShapeError):  # query and key masks of two batches
+        attention(x, x, x, 1, keep, Rows(np.ones((2, 1), dtype=bool), "mask"))
     with pytest.raises(ShapeError):  # heads do not divide dim
-        attention(x, x, x, 2, keep)
+        attention(x, x, x, 2, keep, keep)
+    none = Tensor(np.ones((0, 3)))
     with pytest.raises(DegenerateInputError):  # every key masked
-        attention(x, x, x, 1, ~keep)
+        attention(x, none, none, 1, keep, Rows(np.zeros((1, 2), dtype=bool), "mask"))
 
 
 @pytest.mark.parametrize("key_mask", [np.ones(3, bool), np.ones((1, 2), bool)])
@@ -275,14 +283,14 @@ def test_a_padded_batch_matches_its_sequences_run_one_at_a_time(stack, padding):
 
 
 def _ops_in_graph(out):
-    """The names of the ops with a vertex in the graph of ``out``."""
-    ops, stack, seen = set(), [out._vertex], set()
+    """How many vertices of each op the graph of ``out`` holds, by op name."""
+    ops, stack, seen = Counter(), [out._vertex], set()
     while stack:
         vertex = stack.pop()
         if vertex is not None and id(vertex) not in seen:
             seen.add(id(vertex))
             if vertex._vjp is not None:
-                ops.add(vertex._vjp.__qualname__.split(".")[0])
+                ops[vertex._vjp.__qualname__.split(".")[0]] += 1
             stack.extend(vertex._parents)
     return ops
 
@@ -295,8 +303,20 @@ def test_only_a_padded_batch_puts_row_ops_in_the_graph(stack, padding):
         out = model(x, case.mask, memory, case.memory_mask)
     else:
         out = model(x, case.mask)
-    row_ops = {"gather_rows", "scatter_rows"}
-    assert _ops_in_graph(out) & row_ops == (set() if padding == "none" else row_ops)
+    # Row ops sit only at the stack's boundary: one gather per padded input
+    # or memory, and one scatter of a padded output; no block adds one.
+    padded = [not case.mask.all()] + [not case.memory_mask.all()] * model.decoder
+    ops = _ops_in_graph(out)
+    assert (ops["gather_rows"], ops["scatter_rows"]) == (sum(padded), int(padded[0]))
+
+
+def test_attention_on_packed_rows_adds_only_projections_and_one_attention():
+    attn = MultiHeadAttention(ParameterStore(), "attn", 8, 2, _tiny_rng())
+    rows = Rows(_padded([5, 3, 1], 5), "mask")
+    memory = Rows(_padded([4, 6, 2], 6), "memory_mask")
+    x, kv = (Tensor(np.ones((r.index.size, 8)), requires_grad=True) for r in (rows, memory))
+    ops = _ops_in_graph(attn(x, kv, memory, False, rows))
+    assert ops == {"linear": 4, "attention": 1}
 
 
 @pytest.mark.parametrize("stack", [Encoder, Decoder])
@@ -377,16 +397,27 @@ def _numpy_attention(attn, query_in, kv_in, key_mask, causal):
     return project(attn.o_proj, merged)
 
 
-@pytest.mark.parametrize("causal", [True, False])
-def test_attention_matches_reference_composition(causal):
+@pytest.mark.parametrize(
+    "causal, packed",
+    [(True, False), (False, False), (True, True), (False, True)],
+    ids=["True", "False", "True-packed", "False-packed"],
+)
+def test_attention_matches_reference_composition(causal, packed):
     rng = np.random.default_rng(15)
     attn = MultiHeadAttention(ParameterStore(), "attn", 8, 2, rng)
     x = rng.normal(size=(3, 5, 8))
     kv = x if causal else rng.normal(size=(3, 7, 8))
     key_mask = np.ones(kv.shape[:2], dtype=bool)
     key_mask[1, 3:] = False
-    out = attn(Tensor(x), Tensor(kv), key_mask=key_mask, causal=causal).data
     expected = _numpy_attention(attn, x, kv, key_mask, causal)
+    if packed:
+        # Self-attention's queries are its keys; cross-attention's pad apart.
+        query_mask = key_mask if causal else _padded([5, 2, 4], 5)
+        queries, keys = Rows(query_mask, "queries"), Rows(key_mask, "keys")
+        out = attn(Tensor(x[query_mask]), Tensor(kv[key_mask]), keys, causal, queries).data
+        expected = expected[query_mask]
+    else:
+        out = attn(Tensor(x), Tensor(kv), key_mask=key_mask, causal=causal).data
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 

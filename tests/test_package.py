@@ -26,7 +26,13 @@ from crossaec.acoustic import (
 )
 from crossaec.errors import AlignmentError, ConfigurationError, ShapeError, VocabularyError
 from crossaec.nn.config import ModelConfig, OptimizerConfig
-from crossaec.nn.layers import Decoder, Embedding, Encoder, cross_entropy_loss
+from crossaec.nn.layers import (
+    Decoder,
+    Embedding,
+    Encoder,
+    MultiHeadAttention,
+    cross_entropy_loss,
+)
 from crossaec.nn.params import ParameterStore
 from crossaec.nn.tensor import (
     Rows,
@@ -228,6 +234,7 @@ def test_only_util_writes_the_bool_rule():
 
 _TABLE = build_prototypes(["a"], 2, 0.1, seed=0)
 _SEQ = Tensor(np.ones((1, 2, 4)))
+_SEQ_ROWS = Rows(np.ones((1, 2), dtype=bool), "mask")
 
 # Each count argument, keyed by its name (after its owner's, where two share
 # one): (error type, floor, a call passing the value to that argument).
@@ -247,7 +254,7 @@ COUNT_SITES = {
     "attention.num_heads": (
         ShapeError,
         1,
-        lambda n: attention(_SEQ, _SEQ, _SEQ, n, np.ones((1, 2), dtype=bool)),
+        lambda n: attention(_SEQ, _SEQ, _SEQ, n, _SEQ_ROWS, _SEQ_ROWS),
     ),
     **{
         f"ModelConfig.{f.name}": (
@@ -370,6 +377,7 @@ _WEIGHT = Tensor(np.zeros((5, 2)))
 _STACK_CONFIG = ModelConfig(model_dim=4, num_heads=2, encoder_layers=1, decoder_layers=1)
 _ENCODER = Encoder(ParameterStore(), "enc", _STACK_CONFIG, np.random.default_rng(0))
 _DECODER = Decoder(ParameterStore(), "dec", _STACK_CONFIG, np.random.default_rng(0))
+_ATTENTION = MultiHeadAttention(ParameterStore(), "attn", 4, 2, np.random.default_rng(0))
 _LOGITS = Tensor(np.zeros((1, 2, 5)))
 
 # Each array argument: (error type, the name in its message, the kind of its
@@ -395,7 +403,7 @@ ARRAY_SITES = {
         lambda v: mean_pool_awe(np.zeros((4, 2)), v),
     ),
     "token-ids": (VocabularyError, "token ids", int, lambda v: token_ids(v, 5)),
-    "attention": (ShapeError, "key_mask", bool, lambda m: attention(_SEQ, _SEQ, _SEQ, 1, m)),
+    "MultiHeadAttention": (ShapeError, "key_mask", bool, lambda m: _ATTENTION(_SEQ, _SEQ, m)),
     "Encoder": (ShapeError, "mask", bool, lambda m: _ENCODER(_SEQ, m)),
     "Decoder.memory_mask": (
         ShapeError,

@@ -35,8 +35,11 @@ from crossaec.nn.tensor import (
 
 rng = np.random.default_rng(7)
 
-KEY_MASK = np.array([[True] * 6, [True] * 3 + [False] * 3])
+# The 5 real rows of a (2, 4) mask padded to lengths 3 and 2, the 9 of a
+# (2, 6) key mask padded to 6 and 3, and (2, 5) with no padding.
 ROWS = Rows(np.arange(4) < np.array([[3], [2]]), "row mask")
+KEY_ROWS = Rows(np.arange(6) < np.array([[6], [3]]), "key mask")
+ALL_ROWS = Rows(np.ones((2, 5), dtype=bool), "mask")
 
 # Each op case: the op it checks, the shapes of its inputs (in the op's
 # argument order), and the call of the op on them.
@@ -52,12 +55,23 @@ OP_CASES = {
     "attention-causal-self": (
         "attention",
         [(2, 5, 6)] * 3,
-        lambda q, k, v: attention(q, k, v, 2, KEY_MASK[:, :5], causal=True),
+        lambda q, k, v: attention(q, k, v, 2, ALL_ROWS, ALL_ROWS, causal=True),
     ),
+    # Unpadded queries over packed keys, as a padded-form MultiHeadAttention has.
     "attention-cross": (
         "attention",
-        [(2, 3, 4), (2, 6, 4), (2, 6, 4)],
-        lambda q, k, v: attention(q, k, v, 2, KEY_MASK),
+        [(2, 5, 4), (9, 4), (9, 4)],
+        lambda q, k, v: attention(q, k, v, 2, ALL_ROWS, KEY_ROWS),
+    ),
+    "attention-packed-causal-self": (
+        "attention",
+        [(5, 6)] * 3,
+        lambda q, k, v: attention(q, k, v, 2, ROWS, ROWS, causal=True),
+    ),
+    "attention-packed-cross": (
+        "attention",
+        [(5, 4), (9, 4), (9, 4)],
+        lambda q, k, v: attention(q, k, v, 2, ROWS, KEY_ROWS),
     ),
     "layer_norm": ("layer_norm", [(3, 5, 8), (8,), (8,)], layer_norm),
     "embedding_lookup": (
@@ -65,7 +79,6 @@ OP_CASES = {
         [(7, 4)],
         lambda w: embedding_lookup(w, [[1, 3, 3], [0, 6, 2]]),
     ),
-    # The 5 real rows of a (2, 4) mask padded to lengths 3 and 2, and back.
     "gather_rows": ("gather_rows", [(2, 4, 3)], lambda x: gather_rows(x, ROWS)),
     "scatter_rows": ("scatter_rows", [(5, 3)], lambda x: scatter_rows(x, ROWS)),
     "cross_entropy": (
@@ -100,14 +113,9 @@ def _inputs(shapes):
 
 @pytest.mark.parametrize("case", sorted(OP_CASES))
 def test_op_gradient_at_every_coordinate(case):
-    name, shapes, op = OP_CASES[case]
+    _, shapes, op = OP_CASES[case]
     store, inputs = _inputs(shapes)
     assert gradient_check(lambda: _loss(op(*inputs)), store) <= 1e-6
-    if name == "attention":
-        # Masked keys take no part in the output, so their gradients are exactly 0.
-        _, k, v = inputs
-        masked = ~KEY_MASK[:, : k.data.shape[1]]
-        assert (k.grad[masked] == 0.0).all() and (v.grad[masked] == 0.0).all()
 
 
 @pytest.mark.parametrize(
@@ -152,7 +160,9 @@ def test_attention_large_logits_stay_finite():
     k = np.tile([[1000.0], [999.0], [-1000.0]], (3, 1, 1))
     v = np.eye(3)[:, :, None]
     mask = np.tile([True, True, False], (3, 1))
-    probs = attention(Tensor(q), Tensor(k), Tensor(v), 1, mask).data.reshape(3)
+    queries, keys = Rows(np.ones((3, 1), dtype=bool), "queries"), Rows(mask, "keys")
+    probs = attention(Tensor(q), Tensor(k[mask]), Tensor(v[mask]), 1, queries, keys)
+    probs = probs.data.reshape(3)
     e = math.exp(-1.0)
     np.testing.assert_allclose(probs, [1 / (1 + e), e / (1 + e), 0.0], rtol=0, atol=1e-15)
 
@@ -241,9 +251,9 @@ def test_embedding_rejects_a_weight_that_is_not_2d():
 
 
 def test_attention_rejects_a_dim_that_gives_empty_heads():
-    seq = Tensor(np.ones((1, 2, 0)))
+    seq, rows = Tensor(np.ones((1, 2, 0))), Rows(np.ones((1, 2), dtype=bool), "mask")
     with pytest.raises(ShapeError, match="dim 0 does not split into 1 heads"):
-        attention(seq, seq, seq, 1, np.ones((1, 2), dtype=bool))
+        attention(seq, seq, seq, 1, rows, rows)
 
 
 def test_add_rejects_shapes_that_do_not_broadcast():
@@ -342,12 +352,9 @@ def test_no_grad_blocks_graph():
     t = Tensor(np.ones((2, 2)), requires_grad=True)
     bias = Tensor(np.ones(2), requires_grad=True)
     seq = Tensor(np.ones((1, 2, 2)), requires_grad=True)
+    rows = Rows(np.ones((1, 2), dtype=bool), "mask")
     with no_grad():
-        outs = [
-            add(t, t),
-            linear(seq, t, bias),
-            attention(seq, seq, seq, 2, np.ones((1, 2), dtype=bool)),
-        ]
+        outs = [add(t, t), linear(seq, t, bias), attention(seq, seq, seq, 2, rows, rows)]
     assert not any(out.requires_grad for out in outs)
 
 

@@ -130,6 +130,25 @@ def test_decode_strips_specials_and_renders_unk():
     assert decode(vocab, [BOS_ID, a, EOS_ID]) == ["a"]
     assert decode(vocab, [BOS_ID, EOS_ID]) == []
     assert decode(vocab, [BOS_ID, UNK_ID, EOS_ID]) == ["<unk>"]
+    assert decode(vocab, np.array([BOS_ID, a, a, EOS_ID])) == ["a", "a"]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda vocab: vocab.word_of([3]), "word_of takes a single id, got shape (1,)"),
+        (
+            lambda vocab: decode(vocab, np.array([[4, 5]])),
+            "decode takes a flat sequence of ids, got shape (1, 2)",
+        ),
+    ],
+    ids=["word_of", "decode"],
+)
+def test_ids_of_the_wrong_rank_are_a_vocabulary_error(call, message):
+    vocab = build_vocab(_records("a b"))
+    with pytest.raises(VocabularyError) as caught:
+        call(vocab)
+    assert str(caught.value) == message
 
 
 @settings(max_examples=60, deadline=None)
