@@ -13,7 +13,8 @@ A stack carries the packed rows of ``nn.tensor.Rows``: it gathers the
 real rows of its input and its memory once, so the norms, projections,
 feed-forward and residual adds skip the padding and attention reads
 packed rows, and it scatters them back after the final norm, where
-padded rows read zero.
+padded rows read zero. Layers check no mask or row layout themselves:
+``nn.tensor``'s ``Rows`` and ops do.
 """
 
 from __future__ import annotations
@@ -152,16 +153,6 @@ class MultiHeadAttention:
         return self.o_proj(attention(q, k, v, self.num_heads, queries, key_mask, causal))
 
 
-def _pack(x: Tensor, mask, name: str) -> tuple[Rows, Tensor]:
-    """The ``Rows`` of a (batch, length) mask over a 3D ``x``, and its packed ``x``."""
-    rows = Rows(mask, name)
-    if x.data.ndim != 3 or rows.mask.shape != x.data.shape[:2]:
-        raise ShapeError(
-            f"{name} {rows.mask.shape} does not match the (batch, length) of {x.data.shape}"
-        )
-    return rows, gather_rows(x, rows)
-
-
 class Block:
     """Pre-norm block; a decoder block is causal and cross-attends to memory."""
 
@@ -172,9 +163,7 @@ class Block:
         self.decoder = decoder
         if decoder:
             self.cross_norm = LayerNorm(store, f"{name}.cross_norm", d)
-            self.cross_attn = MultiHeadAttention(
-                store, f"{name}.cross_attn", d, heads, rng
-            )
+            self.cross_attn = MultiHeadAttention(store, f"{name}.cross_attn", d, heads, rng)
         self.ff_norm = LayerNorm(store, f"{name}.ff_norm", d)
         self.ff = FeedForward(store, f"{name}.ff", d, config.feedforward_dim, rng)
 
@@ -206,10 +195,13 @@ class _Stack:
             raise ShapeError("a Decoder needs a memory")
         if not self.decoder and (memory is not None or memory_mask is not None):
             raise ShapeError("an Encoder takes no memory or memory_mask")
-        rows, x = _pack(x, mask, "mask")
-        packed_memory = _pack(memory, memory_mask, "memory_mask") if self.decoder else None
+        rows = Rows(mask, "mask")
+        x = gather_rows(x, rows)
+        if self.decoder:
+            memory_rows = Rows(memory_mask, "memory_mask")
+            memory = memory_rows, gather_rows(memory, memory_rows)
         for block in self.blocks:
-            x = block(x, rows, packed_memory)
+            x = block(x, rows, memory)
         return scatter_rows(self.final_norm(x), rows)
 
 

@@ -13,18 +13,19 @@ caller drops it. ``add`` keeps only shapes, ``relu`` its ``keep`` mask,
 weight array, ``attention`` the padded q/k/v head views, ``probs`` and
 its two ``Rows``, ``layer_norm`` ``xhat``, ``inv`` and the gain array,
 ``embedding_lookup`` the ids and the weight's shape, ``gather_rows`` and
-``scatter_rows`` only their ``Rows``, and ``cross_entropy`` ``expd``,
-``total``, the ids and the position weights.
+``scatter_rows`` only their ``Rows``, and ``cross_entropy`` its softmax
+``probs``, the ids and the position weights.
 
 The module holds only the ops the corrector runs: ``add``, ``relu``,
-``tanh``, ``linear``, ``attention`` (the one softmax), ``layer_norm``,
-``embedding_lookup``, ``gather_rows`` and ``scatter_rows`` (an adjoint
-pair that packs a batch's real rows into (rows, dim) and puts them back)
-and ``cross_entropy`` (the mean loss over the unmasked targets, and the one
-scalar reduction: the gradient checks build their losses from it too).
-The row pair and ``attention`` take the ``Rows`` a mask marks, and
-``attention`` reads packed rows, laying them out padded itself. Masks are
-boolean, true on real content; ``util.as_array`` checks them.
+``tanh``, ``linear``, ``attention``, ``layer_norm``, ``embedding_lookup``,
+``gather_rows`` and ``scatter_rows`` (an adjoint pair that packs a batch's
+real rows into (rows, dim) and puts them back) and ``cross_entropy`` (the
+mean loss over the unmasked targets, and the one scalar reduction: the
+gradient checks build their losses from it too). ``attention`` and
+``cross_entropy`` share one softmax, ``_softmax``. Masks are boolean, true
+on real content; ``Rows`` reads every mask, and ``_check`` is the one test
+that an array holds the rows of its ``Rows``. ``attention`` reads packed
+rows, laying them out padded itself.
 """
 
 from __future__ import annotations
@@ -229,37 +230,52 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
 
 class Rows:
-    """The real rows of a batch, as a ``mask`` over its leading axes marks them.
-    The mask is checked once, as ``name``; ``padded`` is false if every row is real."""
+    """The real rows of a batch, as a ``mask`` over its leading axes marks them: the
+    one reader of masks, named ``name`` in errors; ``padded`` is false if every row is real."""
 
-    __slots__ = ("mask", "index", "padded")
+    __slots__ = ("mask", "name", "index", "padded")
 
     def __init__(self, mask, name: str):
         self.mask = as_array(mask, bool, name, ShapeError)
+        self.name = name
         self.index = self.mask.ravel().nonzero()[0]
         self.padded = self.index.size < self.mask.size
 
 
+def _check(x: np.ndarray, lead: tuple, rows: Rows, name: str) -> None:
+    """The one layout check: ``x`` must be (*lead, dim), the rows of ``rows``."""
+    if x.shape[:-1] != lead or not x.shape:
+        raise ShapeError(f"{name} {x.shape} is not {lead} rows of {rows.name} {rows.mask.shape}")
+
+
 def _padded(x: np.ndarray, rows: Rows, name: str) -> np.ndarray:
-    """The (*mask.shape, dim) layout, zeros in the padding, of the (rows, dim) real
-    rows ``x`` of ``rows``, or ``x`` itself, unchecked, when nothing is padded."""
+    """The (*mask.shape, dim) layout, zeros in the padding, of ``x``, the rows of ``rows``
+    as ``gather_rows`` leaves them: (rows, dim) if the mask pads, else ``x`` itself."""
+    _check(x, rows.index.shape if rows.padded else rows.mask.shape, rows, name)
     if not rows.padded:
         return x
-    if x.shape[:-1] != rows.index.shape:
-        raise ShapeError(f"{name} {x.shape} is not the {rows.index.size} rows of its mask")
     out = np.zeros((*rows.mask.shape, x.shape[-1]))
     out.reshape(rows.mask.size, x.shape[-1])[rows.index] = x
     return out
 
 
-def _real(x: np.ndarray, rows: Rows) -> np.ndarray:
+def _real(x: np.ndarray, rows: Rows, name: str) -> np.ndarray:
     """The (rows, dim) real rows, in order, of ``x`` in the (*mask.shape, dim)
-    layout of ``rows``, or ``x`` itself, unchecked, when nothing is padded."""
+    layout of ``rows``, or ``x`` itself when nothing is padded."""
+    _check(x, rows.mask.shape, rows, name)
     if not rows.padded:
         return x
-    if x.shape[:-1] != rows.mask.shape or not x.shape:
-        raise ShapeError(f"row mask {rows.mask.shape} does not cover the rows of {x.shape}")
     return x.reshape(rows.mask.size, x.shape[-1]).take(rows.index, axis=0)
+
+
+def _softmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax ``x`` in place over its last axis, max-shifted; return the maxima and exp sums."""
+    mx = x.max(axis=-1, keepdims=True)
+    x -= mx
+    np.exp(x, out=x)
+    total = x.sum(axis=-1, keepdims=True)
+    x /= total
+    return mx, total
 
 
 def attention(
@@ -278,14 +294,14 @@ def attention(
     """
     qp = _padded(q.data, queries, "attention q")
     kp, vp = _padded(k.data, keys, "attention k"), _padded(v.data, keys, "attention v")
-    lead_q, lead_k, dim = queries.mask.shape, keys.mask.shape, qp.shape[-1:]
-    fits = qp.shape == lead_q + dim and kp.shape == vp.shape == lead_k + dim
-    if not fits or len(lead_q) != 2 or len(lead_k) != 2 or lead_k[0] != lead_q[0]:
+    lead_q, lead_k, dim = queries.mask.shape, keys.mask.shape, qp.shape[-1]
+    fits = kp.shape[-1] == vp.shape[-1] == dim and len(lead_q) == len(lead_k) == 2
+    if not fits or lead_k[0] != lead_q[0]:
         raise ShapeError(
             f"attention needs (batch, length, dim) q, k and v of one batch and dim; "
             f"got q {qp.shape}, k {kp.shape}, v {vp.shape} for masks {lead_q} and {lead_k}"
         )
-    (batch, lq), lk, dim = lead_q, lead_k[1], dim[0]
+    (batch, lq), lk = lead_q, lead_k[1]
     num_heads = as_count(num_heads, "num_heads", ShapeError)
     if dim < num_heads or dim % num_heads:
         raise ShapeError(f"dim {dim} does not split into {num_heads} heads")
@@ -306,12 +322,10 @@ def attention(
         raise DegenerateInputError("attention query with every key masked")
     # Masked keys become -inf, and exp(-inf) is exactly 0.
     probs = np.where(mask, logits, -np.inf)
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    _softmax(probs)
 
     def merge(gh, rows):
-        return _real(gh.swapaxes(1, 2).reshape(batch, -1, dim), rows)
+        return _real(gh.swapaxes(1, 2).reshape(batch, -1, dim), rows, "attention output")
 
     def vjp(g):
         gh = _padded(g, queries, "gradient").reshape(batch, lq, num_heads, dh).swapaxes(1, 2)
@@ -380,59 +394,53 @@ def embedding_lookup(weight: Tensor, ids: np.ndarray) -> Tensor:
 
 def gather_rows(x: Tensor, rows: Rows) -> Tensor:
     """The (rows, dim) real rows of a (*mask.shape, dim) ``x``, in order,
-    or ``x`` itself, unchecked, when nothing is padded; the VJP scatters them back."""
+    or ``x`` itself when nothing is padded; the VJP scatters them back."""
+    data = _real(x.data, rows, "gather_rows input")
     if not rows.padded:
         return x
 
     def vjp(g):
         return (_padded(g, rows, "gradient"),)
 
-    return _make(_real(x.data, rows), (x,), vjp)
+    return _make(data, (x,), vjp)
 
 
 def scatter_rows(x: Tensor, rows: Rows) -> Tensor:
-    """The (*mask.shape, dim) zeros whose real rows are, in order, the rows
-    of a (rows, dim) ``x``, or ``x`` itself, unchecked, when nothing is padded; the VJP
-    gathers them back."""
+    """The (*mask.shape, dim) zeros whose real rows are, in order, the rows of a
+    (rows, dim) ``x``, or ``x`` itself when nothing is padded; the VJP gathers them back."""
+    data = _padded(x.data, rows, "scatter_rows input")
     if not rows.padded:
         return x
 
     def vjp(g):
-        return (_real(g, rows),)
+        return (_real(g, rows, "gradient"),)
 
-    return _make(_padded(x.data, rows, "scatter_rows input"), (x,), vjp)
+    return _make(data, (x,), vjp)
 
 
 def cross_entropy(logits: Tensor, target_ids: np.ndarray, pad_mask: np.ndarray) -> Tensor:
     """Mean negative log-likelihood over the positions where ``pad_mask``, a
     boolean array of the shape of ``target_ids``, is true. Every target id lies
     in [0, vocabulary size)."""
-    ids = token_ids(target_ids, logits.data.shape[-1])
-    if ids.shape != logits.data.shape[:-1]:
-        raise ShapeError(
-            f"targets {ids.shape} do not match logits {logits.data.shape}"
-        )
-    mask = as_array(pad_mask, bool, "pad_mask", ShapeError)
-    if mask.shape != ids.shape:
-        raise ShapeError(f"pad_mask {mask.shape} does not match targets {ids.shape}")
-    count = int(mask.sum())
-    if count == 0:
+    x, rows = logits.data, Rows(pad_mask, "pad_mask")
+    _check(x, rows.mask.shape, rows, "logits")
+    ids = token_ids(target_ids, x.shape[-1])
+    if ids.shape != rows.mask.shape:
+        raise ShapeError(f"targets {ids.shape} do not match pad_mask {rows.mask.shape}")
+    if not rows.index.size:
         raise DegenerateInputError("loss over zero unmasked positions")
-    w = mask.astype(np.float64) / count
-    x = logits.data
-    mx = x.max(axis=-1, keepdims=True)
-    expd = x - mx
-    np.exp(expd, out=expd)
-    total = expd.sum(axis=-1, keepdims=True)
+    w = rows.mask.astype(np.float64) / rows.index.size
+    probs = x.copy()
+    mx, total = _softmax(probs)
     lse = mx[..., 0] + np.log(total[..., 0])
     picked = np.take_along_axis(x, ids[..., None], axis=-1)[..., 0]
     data = np.asarray(((lse - picked) * w).sum())
 
     def vjp(g):
-        probs = expd / total
-        at_target = np.take_along_axis(probs, ids[..., None], axis=-1) - 1.0
-        np.put_along_axis(probs, ids[..., None], at_target, axis=-1)
-        probs *= (w * float(g))[..., None]
-        return (probs,)
+        scale = (w * float(g))[..., None]
+        grad = probs * scale
+        at_target = (np.take_along_axis(probs, ids[..., None], axis=-1) - 1.0) * scale
+        np.put_along_axis(grad, ids[..., None], at_target, axis=-1)
+        return (grad,)
 
     return _make(data, (logits,), vjp)

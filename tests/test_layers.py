@@ -2,6 +2,7 @@
 attention oracle."""
 
 import math
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -138,14 +139,19 @@ def test_cross_entropy_loss_all_masked_rejected():
 
 
 @pytest.mark.parametrize(
-    "target_shape, mask_shape",
-    [((1, 2), (1, 3)), ((1, 3), (1, 2)), ((1, 2), (1, 1))],
-    ids=["mask-longer", "target-longer", "mask-broadcasts"],
+    "logits_shape, target_shape, mask_shape",
+    [
+        ((1, 2, 5), (1, 2), (1, 3)),
+        ((1, 2, 5), (1, 3), (1, 2)),
+        ((1, 2, 5), (1, 2), (1, 1)),
+        ((), (), ()),
+    ],
+    ids=["mask-longer", "target-longer", "mask-broadcasts", "scalar-logits"],
 )
-def test_cross_entropy_loss_rejects_mismatched_shapes(target_shape, mask_shape):
+def test_cross_entropy_loss_rejects_mismatched_shapes(logits_shape, target_shape, mask_shape):
     with pytest.raises(ShapeError):
         cross_entropy_loss(
-            Tensor(np.zeros((1, 2, 5))),
+            Tensor(np.zeros(logits_shape)),
             np.zeros(target_shape, dtype=np.int64),
             np.ones(mask_shape, dtype=bool),
         )
@@ -338,19 +344,21 @@ def test_values_in_padded_rows_change_nothing(stack):
 
 
 @pytest.mark.parametrize(
-    "mask, memory_mask",
+    "mask, memory_mask, name",
     [
-        (np.ones(2, bool), np.ones((1, 3), bool)),
-        (np.ones((1, 3), bool), np.ones((1, 3), bool)),
-        (np.ones((1, 2), bool), np.ones((1, 2), bool)),
-        (np.ones((1, 2), bool), np.ones((3, 1), bool)),
+        (np.ones(2, bool), np.ones((1, 3), bool), "mask"),
+        (np.ones((1, 3), bool), np.ones((1, 3), bool), "mask"),
+        (np.ones((1, 2), bool), np.ones((1, 2), bool), "memory_mask"),
+        (np.ones((1, 2), bool), np.ones((3, 1), bool), "memory_mask"),
     ],
     ids=["1d-mask", "long-mask", "short-memory-mask", "transposed-memory-mask"],
 )
-def test_stacks_refuse_a_mask_that_does_not_fit_their_input(mask, memory_mask):
+def test_stacks_refuse_a_mask_that_does_not_fit_their_input(mask, memory_mask, name):
+    # The stacks check no layout themselves: gathering the rows of the mask does.
     config = ModelConfig(model_dim=4, num_heads=2, decoder_layers=1, feedforward_dim=8)
     decoder = Decoder(ParameterStore(), "dec", config, _tiny_rng())
-    with pytest.raises(ShapeError, match="does not match the \\(batch, length\\)"):
+    misfit = (mask if name == "mask" else memory_mask).shape
+    with pytest.raises(ShapeError, match=re.escape(f"is not {misfit} rows of {name} {misfit}")):
         decoder(Tensor(np.ones((1, 2, 4))), mask, Tensor(np.ones((1, 3, 4))), memory_mask)
 
 

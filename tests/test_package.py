@@ -232,6 +232,31 @@ def test_only_util_writes_the_bool_rule():
     assert set(found) <= {"crossaec/util.py"}, found
 
 
+def _bool_array_readers(tree: ast.Module) -> list[str]:
+    """The top-level definition around each ``as_array(..., bool, ...)`` call."""
+    return [
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "as_array"
+        and any(
+            isinstance(kind, ast.Name) and kind.id == "bool"
+            for kind in node.args[1:2] + [k.value for k in node.keywords if k.arg == "kind"]
+        )
+    ]
+
+
+def test_only_rows_reads_a_mask():
+    # Masks are read by ``nn.tensor.Rows`` alone; a second mask reader would drift.
+    found = {
+        path.relative_to(PACKAGE.parent).as_posix(): readers
+        for path in SOURCES
+        if (readers := _bool_array_readers(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {"crossaec/nn/tensor.py": ["Rows"]}, found
+
+
 _TABLE = build_prototypes(["a"], 2, 0.1, seed=0)
 _SEQ = Tensor(np.ones((1, 2, 4)))
 _SEQ_ROWS = Rows(np.ones((1, 2), dtype=bool), "mask")

@@ -7,6 +7,7 @@ built from the ops themselves."""
 
 import inspect
 import math
+import re
 import weakref
 
 import numpy as np
@@ -40,6 +41,8 @@ rng = np.random.default_rng(7)
 ROWS = Rows(np.arange(4) < np.array([[3], [2]]), "row mask")
 KEY_ROWS = Rows(np.arange(6) < np.array([[6], [3]]), "key mask")
 ALL_ROWS = Rows(np.ones((2, 5), dtype=bool), "mask")
+# The (2, 4) batch of ROWS with every row real: its rows keep the padded layout.
+FULL_ROWS = Rows(np.ones((2, 4), dtype=bool), "row mask")
 
 # Each op case: the op it checks, the shapes of its inputs (in the op's
 # argument order), and the call of the op on them.
@@ -167,6 +170,20 @@ def test_attention_large_logits_stay_finite():
     np.testing.assert_allclose(probs, [1 / (1 + e), e / (1 + e), 0.0], rtol=0, atol=1e-15)
 
 
+def test_cross_entropy_large_logits_stay_finite():
+    # Row 0 picks 999 beside 1000, a loss of 1 + log(1 + e^-1); row 1 picks -1000
+    # against 1000, a loss of 2000. Every exp(-2000) underflows to exactly 0.
+    logits = np.array([[1000.0, -1000.0, 999.0], [-1000.0, 1000.0, -1000.0]])
+    x = Tensor(logits, requires_grad=True)
+    loss = cross_entropy(x, [2, 0], [True, True])
+    e = math.exp(-1.0)
+    assert abs(float(loss.data) - (1.0 + math.log1p(e) + 2000.0) / 2) < 1e-12
+    loss.backward()
+    p0, p2 = 1 / (1 + e), e / (1 + e)
+    expected = np.array([[p0, 0.0, p2 - 1.0], [-1.0, 1.0, 0.0]]) / 2
+    np.testing.assert_allclose(x.grad, expected, rtol=0, atol=1e-15)
+
+
 def test_cross_entropy_matches_direct_formula():
     # Two-position case evaluated against the raw definition.
     logits = np.array([[1.0, -0.5, 0.25], [0.0, 2.0, -1.0]])
@@ -217,19 +234,26 @@ def test_layer_norm_rejects_an_input_with_no_last_axis_to_normalize(shape):
         layer_norm(Tensor(np.ones(shape)), Tensor(np.ones(0)), Tensor(np.zeros(0)))
 
 
+@pytest.mark.parametrize("rows", [ROWS, FULL_ROWS], ids=["padded", "unpadded"])
 @pytest.mark.parametrize(
     "shape", [(2, 4), (2, 5, 3), (4, 2, 3), (1, 2, 4, 3)],
     ids=["no-last-axis", "long-rows", "transposed", "extra-axis"],
 )
-def test_gather_rows_refuses_a_mask_that_does_not_cover_the_rows(shape):
-    with pytest.raises(ShapeError, match=r"row mask \(2, 4\) does not cover the rows"):
-        gather_rows(Tensor(np.ones(shape)), ROWS)
+def test_gather_rows_refuses_a_mask_that_does_not_cover_the_rows(shape, rows):
+    with pytest.raises(ShapeError, match=r"is not \(2, 4\) rows of row mask \(2, 4\)"):
+        gather_rows(Tensor(np.ones(shape)), rows)
 
 
-@pytest.mark.parametrize("shape", [(4, 3), (6, 3), (5,), (5, 1, 3)])
-def test_scatter_rows_refuses_an_input_that_is_not_the_rows_of_its_mask(shape):
-    with pytest.raises(ShapeError, match="is not the 5 rows of its mask"):
-        scatter_rows(Tensor(np.ones(shape)), ROWS)
+@pytest.mark.parametrize("rows", [ROWS, FULL_ROWS], ids=["padded", "unpadded"])
+@pytest.mark.parametrize(
+    "shape", [(4, 3), (6, 3), (5,), (5, 1, 3), (8, 3)],
+    ids=["few-rows", "many-rows", "no-last-axis", "extra-axis", "every-row"],
+)
+def test_scatter_rows_refuses_an_input_that_is_not_the_rows_of_its_mask(shape, rows):
+    # Packed rows are (rows, dim) only where the mask pads; else (*mask.shape, dim).
+    lead = (5,) if rows.padded else (2, 4)
+    with pytest.raises(ShapeError, match=re.escape(f"is not {lead} rows of row mask (2, 4)")):
+        scatter_rows(Tensor(np.ones(shape)), rows)
 
 
 def test_scatter_rows_puts_zeros_where_the_mask_is_false():
