@@ -13,8 +13,17 @@ caller drops it. ``add`` keeps only shapes, ``relu`` its ``keep`` mask,
 weight array, ``attention`` the padded q/k/v head views, ``probs`` and
 its two ``Rows``, ``layer_norm`` ``xhat``, ``inv`` and the gain array,
 ``embedding_lookup`` the ids and the weight's shape, ``gather_rows`` and
-``scatter_rows`` only their ``Rows``, and ``cross_entropy`` its softmax
-``probs``, the ids and the position weights.
+``scatter_rows`` only their ``Rows``, and ``cross_entropy`` the softmax of
+the real rows of its logits, their target ids and its ``Rows``.
+
+Backward consumes the graph: each VJP runs once and is dropped as soon as
+it has run, so the arrays it kept are freed while backward goes on. One
+backward per graph: a second one through a spent vertex, on the same loss
+or on another loss that shares it, raises ``StateError`` before it writes
+any gradient. Gradients are read-only: ``add``'s VJP hands one array to
+both its inputs, so after ``cross_entropy(add(a, b), ...).backward()``,
+``a.grad is b.grad``. No VJP writes into the gradient it is given, and
+``backward`` adds gradients into new arrays.
 
 The module holds only the ops the corrector runs: ``add``, ``relu``,
 ``tanh``, ``linear``, ``attention``, ``layer_norm``, ``embedding_lookup``,
@@ -89,10 +98,12 @@ class Tensor:
         """Accumulate gradients of this scalar into every reachable leaf.
 
         Each vertex's VJP runs once, in reverse topological order, and its
-        gradients are added into the vertices of its inputs. Interior
-        gradients are freed once spent, so a second call on the same loss
-        adds exactly one more gradient to each leaf; the arrays the VJPs
-        read stay alive with the loss.
+        gradients are added into the vertices of its inputs; a scalar leaf
+        adds 1 to its own. Backward consumes the graph: a VJP is dropped
+        once it has run, freeing the arrays it kept (``cross_entropy``'s
+        softmax of the real rows among them), and each interior gradient
+        once spent. A second backward that reaches a spent vertex raises
+        ``StateError`` before any gradient is written.
         """
         if self.data.size != 1:
             raise ShapeError("backward requires a scalar loss")
@@ -109,16 +120,19 @@ class Tensor:
                 continue
             if id(vertex) in seen:
                 continue
+            if type(vertex) is _Vertex and vertex._vjp is None:
+                raise StateError("backward through a graph that backward already consumed")
             seen.add(id(vertex))
             stack.append((vertex, True))
             for parent in vertex._parents:
                 if parent is not None and id(parent) not in seen:
                     stack.append((parent, False))
-        root.grad = np.ones_like(self.data)
+        one = np.ones_like(self.data)
+        root.grad = one if root.grad is None else root.grad + one
         for vertex in reversed(topo):
             if vertex._vjp is not None:
                 grads = vertex._vjp(vertex.grad)
-                vertex.grad = None
+                vertex._vjp = vertex.grad = None
                 for parent, g in zip(vertex._parents, grads):
                     if parent is not None:
                         parent.grad = g if parent.grad is None else parent.grad + g
@@ -421,26 +435,34 @@ def scatter_rows(x: Tensor, rows: Rows) -> Tensor:
 def cross_entropy(logits: Tensor, target_ids: np.ndarray, pad_mask: np.ndarray) -> Tensor:
     """Mean negative log-likelihood over the positions where ``pad_mask``, a
     boolean array of the shape of ``target_ids``, is true. Every target id lies
-    in [0, vocabulary size)."""
+    in [0, vocabulary size). Only the real rows' softmax is taken and kept."""
     x, rows = logits.data, Rows(pad_mask, "pad_mask")
     _check(x, rows.mask.shape, rows, "logits")
-    ids = token_ids(target_ids, x.shape[-1])
+    shape, classes = x.shape, x.shape[-1]
+    ids = token_ids(target_ids, classes)
     if ids.shape != rows.mask.shape:
         raise ShapeError(f"targets {ids.shape} do not match pad_mask {rows.mask.shape}")
     if not rows.index.size:
         raise DegenerateInputError("loss over zero unmasked positions")
-    w = rows.mask.astype(np.float64) / rows.index.size
-    probs = x.copy()
+    w = 1.0 / rows.index.size
+    targets = ids.reshape(-1, 1).take(rows.index, axis=0)
+    probs = x.reshape(-1, classes).take(rows.index, axis=0)
+    picked = np.take_along_axis(probs, targets, axis=-1)[:, 0]
     mx, total = _softmax(probs)
-    lse = mx[..., 0] + np.log(total[..., 0])
-    picked = np.take_along_axis(x, ids[..., None], axis=-1)[..., 0]
-    data = np.asarray(((lse - picked) * w).sum())
+    # Summed in the mask's layout, zeros at the padding: the order of a
+    # masked mean over every position.
+    terms = np.zeros(rows.mask.shape)
+    terms.reshape(-1)[rows.index] = (mx[:, 0] + np.log(total[:, 0]) - picked) * w
+    data = np.asarray(terms.sum())
 
     def vjp(g):
-        scale = (w * float(g))[..., None]
-        grad = probs * scale
-        at_target = (np.take_along_axis(probs, ids[..., None], axis=-1) - 1.0) * scale
-        np.put_along_axis(grad, ids[..., None], at_target, axis=-1)
+        # In place: this VJP runs once, and probs is its own.
+        scale = w * float(g)
+        at_target = (np.take_along_axis(probs, targets, axis=-1) - 1.0) * scale
+        np.multiply(probs, scale, out=probs)
+        np.put_along_axis(probs, targets, at_target, axis=-1)
+        grad = np.zeros(shape)
+        grad.reshape(-1, classes)[rows.index] = probs
         return (grad,)
 
     return _make(data, (logits,), vjp)

@@ -322,16 +322,30 @@ def test_grad_accumulates_across_reuse():
     np.testing.assert_array_equal(t.grad, 3.0 * thrice.grad)
 
 
-def test_second_backward_adds_exactly_one_more_gradient():
-    # Depth 4: interior grads left over from the first pass used to be
-    # replayed by the second, giving 3-4x the leaf gradient instead of 2x.
-    a = rng.normal(size=(3, 3))
-    t = Tensor(a, requires_grad=True)
-    loss = _loss(add(tanh(t), Tensor(a)))
+def test_backward_runs_once_per_graph():
+    # Backward consumes the graph, so a second pass through a spent vertex,
+    # on the same loss or on a second loss built on it, raises before any
+    # gradient is written: every leaf keeps the gradient of the first pass.
+    t, u = (Tensor(rng.normal(size=(3, 3)), requires_grad=True) for _ in range(2))
+    h = tanh(t)
+    loss, shared = _loss(h), _loss(add(h, u))
     loss.backward()
     once = t.grad.copy()
-    loss.backward()
-    np.testing.assert_array_equal(t.grad, 2.0 * once)
+    for again in (loss, shared):
+        with pytest.raises(StateError, match="already consumed"):
+            again.backward()
+        np.testing.assert_array_equal(t.grad, once)
+        assert u.grad is None
+
+
+def test_backward_on_a_scalar_leaf_adds_to_its_gradient():
+    # Like every other leaf, a scalar leaf that is its own loss adds 1 to
+    # whatever gradient it already holds.
+    t = Tensor(np.array(0.5), requires_grad=True)
+    t.backward()
+    tanh(t).backward()
+    t.backward()
+    np.testing.assert_allclose(t.grad, 2.0 + (1.0 - math.tanh(0.5) ** 2), rtol=0, atol=1e-15)
 
 
 # Ops whose VJPs read none of their input's data: relu keeps its mask, tanh
@@ -370,6 +384,68 @@ def test_graph_frees_an_output_no_vjp_reads(producer, consumer):
     loss.backward()
     for (_, param), grad in zip(store.items(), kept):
         np.testing.assert_array_equal(param.grad, grad)
+
+
+def _kept(out, name):
+    """A weak reference to the array named ``name`` that the VJP of ``out`` keeps."""
+    vjp = out._vertex._vjp
+    cells = dict(zip(vjp.__code__.co_freevars, vjp.__closure__))
+    return weakref.ref(cells[name].cell_contents)
+
+
+# Ops whose VJPs keep an array, and the name the VJP reads it by: tanh its
+# own output, attention its softmax.
+KEEPERS = {
+    "tanh": (tanh, "data"),
+    "attention": (lambda x: attention(x, x, x, 2, ROWS, ROWS, causal=True), "probs"),
+}
+
+
+@pytest.mark.parametrize("keeper", sorted(KEEPERS))
+def test_backward_frees_the_arrays_a_vjp_keeps(keeper):
+    # The loss's graph holds what a VJP keeps until backward has run that
+    # VJP; after it, the array is gone while the loss is still referenced.
+    op, name = KEEPERS[keeper]
+    _, (x,) = _inputs([(5, 6)])
+    out = op(x)
+    kept = _kept(out, name)
+    loss = _loss(out)
+    del out
+    assert kept() is not None
+    loss.backward()
+    assert kept() is None
+
+
+def test_cross_entropy_reads_only_the_real_rows_of_its_logits():
+    # Values of scale 1e3 in the padded rows change neither the loss nor the
+    # gradient, bit for bit, and the padded rows get exactly zero gradient.
+    values = np.random.default_rng(11)
+    base = values.normal(size=(2, 4, 5))
+    noisy = base.copy()
+    noisy[~ROWS.mask] = 1e3 * values.normal(size=(int((~ROWS.mask).sum()), 5))
+    base[~ROWS.mask] = 0.0
+    ids = [[4, 0, 2, 1], [1, 3, 0, 0]]
+    runs = []
+    for logits in (base, noisy):
+        x = Tensor(logits, requires_grad=True)
+        loss = cross_entropy(x, ids, ROWS.mask)
+        loss.backward()
+        runs.append((loss.data, x.grad))
+    (loss0, grad0), (loss1, grad1) = runs
+    np.testing.assert_array_equal(loss1, loss0)
+    np.testing.assert_array_equal(grad1, grad0)
+    assert not grad1[~ROWS.mask].any()
+
+
+@pytest.mark.parametrize("case", sorted(OP_CASES))
+def test_no_vjp_writes_into_the_gradient_it_is_given(case):
+    # Gradients are read-only: add hands one array to both inputs, so a VJP
+    # that wrote into its incoming gradient would change a sibling's.
+    _, shapes, op = OP_CASES[case]
+    out = op(*_inputs(shapes)[1])
+    g = np.random.default_rng(3).normal(size=out.data.shape)
+    g.flags.writeable = False
+    out._vertex._vjp(g)
 
 
 def test_no_grad_blocks_graph():
