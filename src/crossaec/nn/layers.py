@@ -5,16 +5,20 @@ each ``Linear`` is one ``linear`` node, and ``MultiHeadAttention`` is
 four projections around one ``attention`` node, which splits and merges
 the heads itself. ``Encoder`` and ``Decoder`` stack one pre-norm
 ``Block``; decoder blocks add a cross-attention to the memory. Sequence
-tensors enter and leave as (batch, length, model_dim); masks are boolean
-ndarrays shaped (batch, length) with True on real content, and only
-``attention`` turns them, with the causal rule, into score masks.
+tensors enter as (batch, length, model_dim); masks are boolean ndarrays
+shaped (batch, length) with True on real content, and only ``attention``
+turns them, with the causal rule, into score masks.
 
 A stack carries the packed rows of ``nn.tensor.Rows``: it gathers the
 real rows of its input and its memory once, so the norms, projections,
 feed-forward and residual adds skip the padding and attention reads
-packed rows, and it scatters them back after the final norm, where
-padded rows read zero. Layers check no mask or row layout themselves:
-``nn.tensor``'s ``Rows`` and ops do.
+packed rows. After the final norm, the ``Decoder`` hands back its rows as
+``gather_rows`` leaves them, (rows, model_dim) when its mask pads, so the
+output head and ``cross_entropy`` skip the padding too. The ``Encoder``
+scatters its rows back to (batch, length, model_dim), where padded rows
+read zero, because its caller reads them padded: the benchmark's
+corrector adds the padded-form fusion attention to them. Layers check no
+mask or row layout themselves: ``nn.tensor``'s ``Rows`` and ops do.
 """
 
 from __future__ import annotations
@@ -180,7 +184,8 @@ class Block:
 
 class _Stack:
     """Blocks, then a final norm; each subclass sets ``decoder`` for its blocks.
-    A decoder needs a memory and its mask, and an encoder takes neither."""
+    A decoder needs a memory and its mask, and an encoder takes neither. A
+    decoder returns its packed rows, an encoder the padded batch."""
 
     def __init__(self, store, name, config: ModelConfig, rng):
         count = config.decoder_layers if self.decoder else config.encoder_layers
@@ -202,7 +207,8 @@ class _Stack:
             memory = memory_rows, gather_rows(memory, memory_rows)
         for block in self.blocks:
             x = block(x, rows, memory)
-        return scatter_rows(self.final_norm(x), rows)
+        x = self.final_norm(x)
+        return x if self.decoder else scatter_rows(x, rows)
 
 
 class Encoder(_Stack):
@@ -220,8 +226,10 @@ class Decoder(_Stack):
 def cross_entropy_loss(
     logits: Tensor, target_ids: np.ndarray, pad_mask: np.ndarray
 ) -> Tensor:
-    """``tensor.cross_entropy`` under a layer's name. It stays because
-    ``perfbench/corrector.py`` calls it and the benchmark's tracer times it
-    as ``nn.layers.loss``, just as ``perfbench``'s ``Head`` exists only for
-    the tracer."""
+    """``tensor.cross_entropy`` under a layer's name, over logits of the
+    target rows as the ``Decoder`` and a ``Linear`` head leave them:
+    (rows, vocab) when ``pad_mask`` pads, else (batch, length, vocab). It
+    stays because ``perfbench/corrector.py`` calls it and the benchmark's
+    tracer times it as ``nn.layers.loss``, just as ``perfbench``'s ``Head``
+    exists only for the tracer."""
     return cross_entropy(logits, target_ids, pad_mask)

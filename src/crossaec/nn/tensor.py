@@ -10,11 +10,12 @@ The graph holds no arrays of its own: a VJP keeps only the arrays its
 formula reads, so an op output that no VJP reads is freed as soon as the
 caller drops it. ``add`` keeps only shapes, ``relu`` its ``keep`` mask,
 ``tanh`` its own output, ``linear`` the 2D view of its input and the
-weight array, ``attention`` the padded q/k/v head views, ``probs`` and
-its two ``Rows``, ``layer_norm`` ``xhat``, ``inv`` and the gain array,
-``embedding_lookup`` the ids and the weight's shape, ``gather_rows`` and
-``scatter_rows`` only their ``Rows``, and ``cross_entropy`` the softmax of
-the real rows of its logits, their target ids and its ``Rows``.
+weight array, ``attention`` the padded q/k/v head views, ``probs`` (its
+softmax, key-major: (keys, batch, heads, queries)) and its two ``Rows``,
+``layer_norm`` ``xhat``, ``inv`` and the gain array, ``embedding_lookup``
+the ids and the weight's shape, ``gather_rows`` and ``scatter_rows`` only
+their ``Rows``, and ``cross_entropy`` the softmax of its logits and their
+target ids.
 
 Backward consumes the graph: each VJP runs once and is dropped as soon as
 it has run, so the arrays it kept are freed while backward goes on. One
@@ -31,10 +32,16 @@ The module holds only the ops the corrector runs: ``add``, ``relu``,
 real rows into (rows, dim) and puts them back) and ``cross_entropy`` (the
 mean loss over the unmasked targets, and the one scalar reduction: the
 gradient checks build their losses from it too). ``attention`` and
-``cross_entropy`` share one softmax, ``_softmax``. Masks are boolean, true
-on real content; ``Rows`` reads every mask, and ``_check`` is the one test
-that an array holds the rows of its ``Rows``. ``attention`` reads packed
-rows, laying them out padded itself.
+``cross_entropy`` share one softmax, ``_softmax``, over the axis each
+names: ``attention``'s scores are key-major, so its max and sum run over
+the outer axis in whole-row passes, several times faster in numpy than
+over a short last axis; ``cross_entropy`` reduces over the classes, its
+last axis. Masks are boolean, true on real content; ``Rows`` reads every
+mask, and ``_check`` is the one test that an array holds the rows of its
+``Rows``. ``attention``'s q, k and v and ``cross_entropy``'s logits are
+packed rows as ``gather_rows`` leaves them: (rows, dim) when the mask
+pads, else (*mask.shape, dim). ``attention`` lays them out padded itself,
+and ``cross_entropy`` never sees the padding.
 """
 
 from __future__ import annotations
@@ -101,7 +108,7 @@ class Tensor:
         gradients are added into the vertices of its inputs; a scalar leaf
         adds 1 to its own. Backward consumes the graph: a VJP is dropped
         once it has run, freeing the arrays it kept (``cross_entropy``'s
-        softmax of the real rows among them), and each interior gradient
+        softmax among them), and each interior gradient
         once spent. A second backward that reaches a spent vertex raises
         ``StateError`` before any gradient is written.
         """
@@ -256,8 +263,10 @@ class Rows:
         self.padded = self.index.size < self.mask.size
 
 
-def _check(x: np.ndarray, lead: tuple, rows: Rows, name: str) -> None:
-    """The one layout check: ``x`` must be (*lead, dim), the rows of ``rows``."""
+def _check(x: np.ndarray, rows: Rows, name: str, packed: bool = True) -> None:
+    """The one layout check: ``x`` must hold the rows of ``rows`` packed, as ``gather_rows``
+    leaves them ((rows, dim) if the mask pads), or, unless ``packed``, as (*mask.shape, dim)."""
+    lead = rows.index.shape if packed and rows.padded else rows.mask.shape
     if x.shape[:-1] != lead or not x.shape:
         raise ShapeError(f"{name} {x.shape} is not {lead} rows of {rows.name} {rows.mask.shape}")
 
@@ -265,7 +274,7 @@ def _check(x: np.ndarray, lead: tuple, rows: Rows, name: str) -> None:
 def _padded(x: np.ndarray, rows: Rows, name: str) -> np.ndarray:
     """The (*mask.shape, dim) layout, zeros in the padding, of ``x``, the rows of ``rows``
     as ``gather_rows`` leaves them: (rows, dim) if the mask pads, else ``x`` itself."""
-    _check(x, rows.index.shape if rows.padded else rows.mask.shape, rows, name)
+    _check(x, rows, name)
     if not rows.padded:
         return x
     out = np.zeros((*rows.mask.shape, x.shape[-1]))
@@ -276,18 +285,18 @@ def _padded(x: np.ndarray, rows: Rows, name: str) -> np.ndarray:
 def _real(x: np.ndarray, rows: Rows, name: str) -> np.ndarray:
     """The (rows, dim) real rows, in order, of ``x`` in the (*mask.shape, dim)
     layout of ``rows``, or ``x`` itself when nothing is padded."""
-    _check(x, rows.mask.shape, rows, name)
+    _check(x, rows, name, packed=False)
     if not rows.padded:
         return x
     return x.reshape(rows.mask.size, x.shape[-1]).take(rows.index, axis=0)
 
 
-def _softmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax ``x`` in place over its last axis, max-shifted; return the maxima and exp sums."""
-    mx = x.max(axis=-1, keepdims=True)
+def _softmax(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax ``x`` in place over ``axis``, max-shifted; return the maxima and exp sums."""
+    mx = x.max(axis=axis, keepdims=True)
     x -= mx
     np.exp(x, out=x)
-    total = x.sum(axis=-1, keepdims=True)
+    total = x.sum(axis=axis, keepdims=True)
     x /= total
     return mx, total
 
@@ -325,31 +334,41 @@ def attention(
     qh = qp.reshape(batch, lq, num_heads, dh).swapaxes(1, 2)
     kh = kp.reshape(batch, lk, num_heads, dh).swapaxes(1, 2)
     vh = vp.reshape(batch, lk, num_heads, dh).swapaxes(1, 2)
-    logits = qh @ kh.swapaxes(-1, -2)
-    logits *= factor
-    mask = keys.mask[:, None, None, :]
+    # Key-major scores: the softmax reduces over the outer axis, which numpy
+    # does in whole-row passes, not over a short last axis.
+    probs = np.empty((lk, batch, num_heads, lq))
+    np.matmul(kh, qh.swapaxes(-1, -2), out=probs.transpose(1, 2, 0, 3))
+    probs *= factor
+    mask = keys.mask.T[:, :, None, None] if keys.padded else None
     if causal:
         # Query i sees keys 0..i, as np.tril would give, but cheaper.
-        mask = mask & (np.arange(lk) <= np.arange(lq)[:, None])
+        seen = (np.arange(lk)[:, None] <= np.arange(lq))[:, None, None, :]
+        mask = seen if mask is None else mask & seen
     # Broadcasting repeats rows, so checking the unbroadcast mask suffices.
-    if not mask.any(axis=-1).all():
+    if not (lk if mask is None else mask.any(axis=0).all()):
         raise DegenerateInputError("attention query with every key masked")
-    # Masked keys become -inf, and exp(-inf) is exactly 0.
-    probs = np.where(mask, logits, -np.inf)
-    _softmax(probs)
+    if mask is not None:
+        # Masked keys become -inf, and exp(-inf) is exactly 0.
+        np.copyto(probs, -np.inf, where=~mask)
+    _softmax(probs, 0)
 
     def merge(gh, rows):
         return _real(gh.swapaxes(1, 2).reshape(batch, -1, dim), rows, "attention output")
 
     def vjp(g):
         gh = _padded(g, queries, "gradient").reshape(batch, lq, num_heads, dh).swapaxes(1, 2)
-        gv = merge(probs.swapaxes(-1, -2) @ gh, keys)
-        gprobs = gh @ vh.swapaxes(-1, -2)
-        glogits = probs * (gprobs - (gprobs * probs).sum(axis=-1, keepdims=True))
+        gv = merge(probs.transpose(1, 2, 0, 3) @ gh, keys)
+        # probs * (gprobs - (gprobs * probs).sum(keys)) * factor, in place over
+        # the key-major gprobs = v gh^T.
+        glogits = np.empty_like(probs)
+        np.matmul(vh, gh.swapaxes(-1, -2), out=glogits.transpose(1, 2, 0, 3))
+        glogits -= (glogits * probs).sum(axis=0)
+        glogits *= probs
         glogits *= factor
-        return merge(glogits @ kh, queries), merge(glogits.swapaxes(-1, -2) @ qh, keys), gv
+        gq = merge(glogits.transpose(1, 2, 3, 0) @ kh, queries)
+        return gq, merge(glogits.transpose(1, 2, 0, 3) @ qh, keys), gv
 
-    return _make(merge(probs @ vh, queries), (q, k, v), vjp)
+    return _make(merge(probs.transpose(1, 2, 3, 0) @ vh, queries), (q, k, v), vjp)
 
 
 LAYER_NORM_EPS = 1e-5
@@ -435,9 +454,11 @@ def scatter_rows(x: Tensor, rows: Rows) -> Tensor:
 def cross_entropy(logits: Tensor, target_ids: np.ndarray, pad_mask: np.ndarray) -> Tensor:
     """Mean negative log-likelihood over the positions where ``pad_mask``, a
     boolean array of the shape of ``target_ids``, is true. Every target id lies
-    in [0, vocabulary size). Only the real rows' softmax is taken and kept."""
+    in [0, vocabulary size). ``logits`` holds the rows of ``pad_mask`` as
+    ``gather_rows`` leaves them: (rows, classes) when the mask pads, else
+    (*mask.shape, classes)."""
     x, rows = logits.data, Rows(pad_mask, "pad_mask")
-    _check(x, rows.mask.shape, rows, "logits")
+    _check(x, rows, "logits")
     shape, classes = x.shape, x.shape[-1]
     ids = token_ids(target_ids, classes)
     if ids.shape != rows.mask.shape:
@@ -446,9 +467,9 @@ def cross_entropy(logits: Tensor, target_ids: np.ndarray, pad_mask: np.ndarray) 
         raise DegenerateInputError("loss over zero unmasked positions")
     w = 1.0 / rows.index.size
     targets = ids.reshape(-1, 1).take(rows.index, axis=0)
-    probs = x.reshape(-1, classes).take(rows.index, axis=0)
+    probs = x.reshape(-1, classes).copy()
     picked = np.take_along_axis(probs, targets, axis=-1)[:, 0]
-    mx, total = _softmax(probs)
+    mx, total = _softmax(probs, -1)
     # Summed in the mask's layout, zeros at the padding: the order of a
     # masked mean over every position.
     terms = np.zeros(rows.mask.shape)
@@ -461,8 +482,6 @@ def cross_entropy(logits: Tensor, target_ids: np.ndarray, pad_mask: np.ndarray) 
         at_target = (np.take_along_axis(probs, targets, axis=-1) - 1.0) * scale
         np.multiply(probs, scale, out=probs)
         np.put_along_axis(probs, targets, at_target, axis=-1)
-        grad = np.zeros(shape)
-        grad.reshape(-1, classes)[rows.index] = probs
-        return (grad,)
+        return (probs.reshape(shape),)
 
     return _make(data, (logits,), vjp)

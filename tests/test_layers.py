@@ -20,7 +20,7 @@ from crossaec.nn.layers import (
 )
 from crossaec.nn.optim import AdamOptimizer
 from crossaec.nn.params import ParameterStore
-from crossaec.nn.tensor import Rows, Tensor, attention, cross_entropy
+from crossaec.nn.tensor import Rows, Tensor, attention, cross_entropy, gather_rows
 
 # The benchmark's corrector; ROADMAP item 1a moves it into the package.
 from corrector import Corrector
@@ -130,12 +130,9 @@ def test_cross_entropy_loss_perfect_prediction_near_zero():
 
 
 def test_cross_entropy_loss_all_masked_rejected():
+    mask = np.zeros((1, 2), dtype=bool)
     with pytest.raises(DegenerateInputError):
-        cross_entropy_loss(
-            Tensor(np.zeros((1, 2, 4))),
-            np.array([[0, 1]]),
-            np.zeros((1, 2), dtype=bool),
-        )
+        cross_entropy_loss(Tensor(np.zeros((1, 2, 4))[mask]), np.array([[0, 1]]), mask)
 
 
 @pytest.mark.parametrize(
@@ -234,18 +231,26 @@ def _stack_case(stack, lengths=(5, 3, 1), memory_lengths=(4, 6, 2)):
 
 def _run_stack(model, store, x, mask, memory, memory_mask, ids):
     """The stack's output, and the loss of cross-entropy over its real rows
-    with the gradients of every parameter and of the input and the memory."""
+    with the gradients of every parameter and of the input and the memory.
+    A decoder hands back its real rows; an encoder's are gathered."""
     store.zero_grad()
     inputs = [Tensor(x, requires_grad=True)]
     if model.decoder:
         inputs.append(Tensor(memory, requires_grad=True))
-        out = model(inputs[0], mask, inputs[1], memory_mask)
+        out = real = model(inputs[0], mask, inputs[1], memory_mask)
     else:
         out = model(inputs[0], mask)
-    loss = cross_entropy(out, ids, mask)
+        real = gather_rows(out, Rows(mask, "mask"))
+    loss = cross_entropy(real, ids, mask)
     loss.backward()
     params = [param.grad for _, param in store.items()]
     return out.data, float(loss.data), params, [t.grad for t in inputs]
+
+
+def _real_rows(out, mask):
+    """The (rows, dim) real rows of a stack's output: a decoder's when its mask
+    pads, else those of the (batch, length, dim) layout."""
+    return out if out.ndim == 2 else out[mask]
 
 
 # Input and memory lengths: both padded, one side padded (a decoder's input or
@@ -266,6 +271,7 @@ def test_a_padded_batch_matches_its_sequences_run_one_at_a_time(stack, padding):
         model, store, case.x, case.mask, case.memory, case.memory_mask, case.ids
     )
     lengths, memory_lengths = case.mask.sum(axis=1), case.memory_mask.sum(axis=1)
+    real, starts = _real_rows(out, case.mask), np.cumsum(lengths) - lengths
     want_loss = 0.0
     want_params = [np.zeros_like(g) for g in params]
     want_inputs = [np.zeros_like(g) for g in inputs]
@@ -274,7 +280,8 @@ def test_a_padded_batch_matches_its_sequences_run_one_at_a_time(stack, padding):
             model, store, case.x[i : i + 1, :n], np.ones((1, n), bool),
             case.memory[i : i + 1, :m], np.ones((1, m), bool), case.ids[i : i + 1, :n],
         )
-        np.testing.assert_allclose(out[i, :n], one_out[0], rtol=0, atol=1e-12)
+        rows = real[starts[i] : starts[i] + n]
+        np.testing.assert_allclose(rows, one_out[0], rtol=0, atol=1e-12)
         # The batch loss is the mean over all real rows: each sequence's
         # loss and gradients count in proportion to its length.
         share = n / lengths.sum()
@@ -310,10 +317,27 @@ def test_only_a_padded_batch_puts_row_ops_in_the_graph(stack, padding):
     else:
         out = model(x, case.mask)
     # Row ops sit only at the stack's boundary: one gather per padded input
-    # or memory, and one scatter of a padded output; no block adds one.
+    # or memory, and one scatter of an encoder's padded output; a decoder
+    # hands back its real rows, and no block adds a row op.
     padded = [not case.mask.all()] + [not case.memory_mask.all()] * model.decoder
     ops = _ops_in_graph(out)
-    assert (ops["gather_rows"], ops["scatter_rows"]) == (sum(padded), int(padded[0]))
+    scattered = int(padded[0] and not model.decoder)
+    assert (ops["gather_rows"], ops["scatter_rows"]) == (sum(padded), scattered)
+
+
+@pytest.mark.parametrize("stack, padding", STACK_PADDINGS)
+def test_a_decoder_hands_back_real_rows_and_an_encoder_the_padded_batch(stack, padding):
+    model, _, case = _stack_case(stack, *PADDING[padding])
+    x = Tensor(case.x)
+    if model.decoder:
+        out = model(x, case.mask, Tensor(case.memory), case.memory_mask).data
+    else:
+        out = model(x, case.mask).data
+    if model.decoder and not case.mask.all():
+        assert out.shape == (case.mask.sum(), 8)
+    else:
+        assert out.shape == (3, 5, 8)
+        assert (out[~case.mask] == 0.0).all()
 
 
 def test_attention_on_packed_rows_adds_only_projections_and_one_attention():
@@ -337,7 +361,8 @@ def test_values_in_padded_rows_change_nothing(stack):
         model, store, x, case.mask, memory, case.memory_mask, case.ids
     )
     np.testing.assert_array_equal(out, clean[0])
-    assert (out[~case.mask] == 0.0).all()
+    if not model.decoder:
+        assert (out[~case.mask] == 0.0).all()
     assert loss == clean[1]
     for grad, kept in zip(params + inputs, clean[2] + clean[3]):
         np.testing.assert_array_equal(grad, kept)

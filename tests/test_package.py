@@ -404,6 +404,8 @@ _ENCODER = Encoder(ParameterStore(), "enc", _STACK_CONFIG, np.random.default_rng
 _DECODER = Decoder(ParameterStore(), "dec", _STACK_CONFIG, np.random.default_rng(0))
 _ATTENTION = MultiHeadAttention(ParameterStore(), "attn", 4, 2, np.random.default_rng(0))
 _LOGITS = Tensor(np.zeros((1, 2, 5)))
+# The logits of the real row of the (1, 2) mask [[True, False]] the bool sites take.
+_REAL_LOGITS = Tensor(_LOGITS.data[np.array([[True, False]])])
 
 # Each array argument: (error type, the name in its message, the kind of its
 # values, a call passing the array to that argument). The bool sites take a
@@ -441,13 +443,13 @@ ARRAY_SITES = {
         ShapeError,
         "pad_mask",
         bool,
-        lambda m: cross_entropy(_LOGITS, [[0, 1]], m),
+        lambda m: cross_entropy(_REAL_LOGITS, [[0, 1]], m),
     ),
     "cross_entropy_loss": (
         ShapeError,
         "pad_mask",
         bool,
-        lambda m: cross_entropy_loss(_LOGITS, [[0, 1]], m),
+        lambda m: cross_entropy_loss(_REAL_LOGITS, [[0, 1]], m),
     ),
 }
 
