@@ -249,15 +249,14 @@ class MetricsReport:
     @classmethod
     def compute(cls, pairs: Iterable[Pair]) -> "MetricsReport":
         id_pairs = _word_ids(pairs)
-        s = i = d = n = 0
-        for (ref, _), kinds in zip(id_pairs, _edit_kinds(id_pairs)):
+        bleu_value, gleu_weighted, n = _ngram_scores(id_pairs)
+        if n == 0:
+            raise DegenerateInputError("metrics over zero reference words")
+        s = i = d = 0
+        for kinds in _edit_kinds(id_pairs):
             s += kinds.count(SUBSTITUTE)
             i += kinds.count(INSERT)
             d += kinds.count(DELETE)
-            n += len(ref)
-        if n == 0:
-            raise DegenerateInputError("metrics over zero reference words")
-        bleu_value, gleu_weighted, _ = _ngram_scores(id_pairs)
         return cls(
             wer=100.0 * (s + i + d) / n,
             bleu=bleu_value,

@@ -223,13 +223,6 @@ class Decoder(_Stack):
     decoder = True
 
 
-def cross_entropy_loss(
-    logits: Tensor, target_ids: np.ndarray, pad_mask: np.ndarray
-) -> Tensor:
-    """``tensor.cross_entropy`` under a layer's name, over logits of the
-    target rows as the ``Decoder`` and a ``Linear`` head leave them:
-    (rows, vocab) when ``pad_mask`` pads, else (batch, length, vocab). It
-    stays because ``perfbench/corrector.py`` calls it and the benchmark's
-    tracer times it as ``nn.layers.loss``, just as ``perfbench``'s ``Head``
-    exists only for the tracer."""
-    return cross_entropy(logits, target_ids, pad_mask)
+# The loss under a layer's name, only so the benchmark's tracer can patch and
+# time it as ``nn.layers.loss``; ROADMAP item 17 removes it.
+cross_entropy_loss = cross_entropy

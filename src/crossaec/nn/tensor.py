@@ -26,22 +26,24 @@ both its inputs, so after ``cross_entropy(add(a, b), ...).backward()``,
 ``a.grad is b.grad``. No VJP writes into the gradient it is given, and
 ``backward`` adds gradients into new arrays.
 
-The module holds only the ops the corrector runs: ``add``, ``relu``,
-``tanh``, ``linear``, ``attention``, ``layer_norm``, ``embedding_lookup``,
-``gather_rows`` and ``scatter_rows`` (an adjoint pair that packs a batch's
-real rows into (rows, dim) and puts them back) and ``cross_entropy`` (the
-mean loss over the unmasked targets, and the one scalar reduction: the
-gradient checks build their losses from it too). ``attention`` and
-``cross_entropy`` share one softmax, ``_softmax``, over the axis each
-names: ``attention``'s scores are key-major, so its max and sum run over
-the outer axis in whole-row passes, several times faster in numpy than
-over a short last axis; ``cross_entropy`` reduces over the classes, its
-last axis. Masks are boolean, true on real content; ``Rows`` reads every
-mask, and ``_check`` is the one test that an array holds the rows of its
-``Rows``. ``attention``'s q, k and v and ``cross_entropy``'s logits are
-packed rows as ``gather_rows`` leaves them: (rows, dim) when the mask
-pads, else (*mask.shape, dim). ``attention`` lays them out padded itself,
-and ``cross_entropy`` never sees the padding.
+The module holds only the ops the corrector runs: ``add`` (of equal
+shapes, or of a shape and its trailing part, as a position table meets a
+batch; no other broadcast), ``relu``, ``tanh``, ``linear``, ``attention``,
+``layer_norm``, ``embedding_lookup``, ``gather_rows`` and ``scatter_rows``
+(an adjoint pair that packs a batch's real rows into (rows, dim) and puts
+them back) and ``cross_entropy`` (the mean loss over the unmasked targets,
+and the one scalar reduction: the gradient checks build their losses from
+it too). ``attention`` and ``cross_entropy`` share one softmax,
+``_softmax``, over the axis each names: ``attention``'s scores are
+key-major, so its max and sum run over the outer axis in whole-row passes,
+several times faster in numpy than over a short last axis;
+``cross_entropy`` reduces over the classes, its last axis. Masks are
+boolean, true on real content; ``Rows`` reads every mask, and ``_check``
+is the one test that an array holds the rows of its ``Rows``.
+``attention``'s q, k and v and ``cross_entropy``'s logits are packed rows
+as ``gather_rows`` leaves them: (rows, dim) when the mask pads, else
+(*mask.shape, dim). ``attention`` lays them out padded itself, and
+``cross_entropy`` never sees the padding.
 """
 
 from __future__ import annotations
@@ -173,26 +175,20 @@ def _make(data: np.ndarray, parents: tuple, vjp: Callable) -> Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient back down to the shape it was broadcast from."""
-    if g.shape == shape:
-        return g
+    """Sum ``g`` over the leading axes that ``shape``, a trailing part of ``g.shape``, lacks."""
     extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
+    return g.sum(axis=tuple(range(extra))) if extra else g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise ShapeError(
-            f"cannot add shapes {a.data.shape} and {b.data.shape}"
-        ) from None
+    """``a + b`` of equal shapes, or of two shapes where one is the trailing part of
+    the other (a (length, dim) position table added to every sequence of a batch)."""
     a_shape, b_shape = a.data.shape, b.data.shape
+    if a_shape != b_shape:
+        short, long = (a_shape, b_shape) if len(a_shape) < len(b_shape) else (b_shape, a_shape)
+        if long[len(long) - len(short):] != short:
+            raise ShapeError(f"cannot add shapes {a_shape} and {b_shape}")
+    data = a.data + b.data
 
     def vjp(g):
         return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)

@@ -22,7 +22,7 @@ from crossaec.nn.optim import AdamOptimizer
 from crossaec.nn.params import ParameterStore
 from crossaec.nn.tensor import Rows, Tensor, attention, cross_entropy, gather_rows
 
-# The benchmark's corrector; ROADMAP item 1a moves it into the package.
+# The benchmark's corrector; ROADMAP item 22 moves it into the package.
 from corrector import Corrector
 
 
@@ -474,6 +474,24 @@ def test_adam_single_step_matches_hand_formula():
     v_hat = (0.001 * 1.0) / (1 - 0.999)
     expected = 0.5 - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
     assert abs(p.data[0] - expected) < 1e-15
+
+
+def test_three_adam_steps_of_the_corrector_reproduce_its_losses():
+    # Pins the model's constants, which no gradient check sees: the norm's eps,
+    # the position base, the init bounds, the projections' biases and Adam's
+    # betas. At step 1 the bias-corrected update is g / (|g| + eps) whatever
+    # the betas are, so BETA2 shows only from step 3.
+    model, batch = _corrector_case(0)
+    optimizer = AdamOptimizer(model.store, OptimizerConfig(learning_rate=3e-2))
+    losses = []
+    for _ in range(3):
+        model.store.zero_grad()
+        loss = model.loss(batch)
+        loss.backward()
+        optimizer.step()
+        losses.append(float(loss.data))
+    expected = [1.9559520729335234, 1.3882956431762659, 1.2492204194922665]
+    np.testing.assert_allclose(losses, expected, rtol=1e-10, atol=0)
 
 
 def test_model_config_validation():

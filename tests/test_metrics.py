@@ -147,8 +147,9 @@ def test_wer_empty_hypotheses_is_hundred():
 
 
 def test_zero_reference_words_rejected():
-    with pytest.raises(DegenerateInputError):
-        MetricsReport.compute([])
+    for corpus in ([], [([], ["a"])]):
+        with pytest.raises(DegenerateInputError, match="metrics over zero reference words"):
+            MetricsReport.compute(corpus)
     with pytest.raises(DegenerateInputError, match="GLEU over zero reference words"):
         gleu([([], ["a"])])
 

@@ -47,8 +47,8 @@ FULL_ROWS = Rows(np.ones((2, 4), dtype=bool), "row mask")
 # Each op case: the op it checks, the shapes of its inputs (in the op's
 # argument order), and the call of the op on them.
 OP_CASES = {
+    "add": ("add", [(3, 4), (3, 4)], add),
     "add-broadcast": ("add", [(3, 4), (4,)], add),
-    "add-keepdims": ("add", [(2, 3, 4), (1, 4)], add),
     "relu": ("relu", [(5, 5)], relu),
     "tanh": ("tanh", [(3, 4)], tanh),
     "linear-2d": ("linear", [(4, 5), (5, 3)], linear),
@@ -281,9 +281,20 @@ def test_attention_rejects_a_dim_that_gives_empty_heads():
         attention(seq, seq, seq, 1, rows, rows)
 
 
-def test_add_rejects_shapes_that_do_not_broadcast():
-    with pytest.raises(ShapeError, match=r"\(2, 3\) and \(4,\)"):
-        add(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
+@pytest.mark.parametrize(
+    "a, b",
+    [((2, 3), (4,)), ((2, 3, 4), (1, 4)), ((3, 1), (3, 4))],
+    ids=["2x3+4", "2x3x4+1x4", "3x1+3x4"],
+)
+def test_add_rejects_shapes_that_do_not_broadcast(a, b):
+    # add broadcasts only a trailing shape, never over size-1 axes.
+    with pytest.raises(ShapeError, match=re.escape(f"cannot add shapes {a} and {b}")):
+        add(Tensor(np.ones(a)), Tensor(np.ones(b)))
+
+
+def test_repr_names_the_shape_and_the_gradient_flag():
+    t = Tensor(np.ones((2, 3)), requires_grad=True)
+    assert repr(t) == "Tensor(shape=(2, 3), requires_grad=True)"
 
 
 def test_backward_needs_a_scalar_with_a_graph():
