@@ -27,7 +27,6 @@ import math
 
 import numpy as np
 
-from crossaec.errors import ShapeError
 from crossaec.nn.config import ModelConfig
 from crossaec.nn.params import ParameterStore
 from crossaec.nn.tensor import (
@@ -183,9 +182,8 @@ class Block:
 
 
 class _Stack:
-    """Blocks, then a final norm; each subclass sets ``decoder`` for its blocks.
-    A decoder needs a memory and its mask, and an encoder takes neither. A
-    decoder returns its packed rows, an encoder the padded batch."""
+    """Blocks, then a final norm. ``_run`` takes an input, its ``Rows`` and a decoder's
+    memory (its ``Rows``, its packed rows) and hands back final-normed packed rows."""
 
     def __init__(self, store, name, config: ModelConfig, rng):
         count = config.decoder_layers if self.decoder else config.encoder_layers
@@ -195,32 +193,32 @@ class _Stack:
         ]
         self.final_norm = LayerNorm(store, f"{name}.final_norm", config.model_dim)
 
-    def __call__(self, x: Tensor, mask, memory=None, memory_mask=None) -> Tensor:
-        if self.decoder and memory is None:
-            raise ShapeError("a Decoder needs a memory")
-        if not self.decoder and (memory is not None or memory_mask is not None):
-            raise ShapeError("an Encoder takes no memory or memory_mask")
-        rows = Rows(mask, "mask")
+    def _run(self, x: Tensor, rows: Rows, memory: tuple[Rows, Tensor] | None) -> Tensor:
         x = gather_rows(x, rows)
-        if self.decoder:
-            memory_rows = Rows(memory_mask, "memory_mask")
-            memory = memory_rows, gather_rows(memory, memory_rows)
         for block in self.blocks:
             x = block(x, rows, memory)
-        x = self.final_norm(x)
-        return x if self.decoder else scatter_rows(x, rows)
+        return self.final_norm(x)
 
 
 class Encoder(_Stack):
-    """Pre-norm self-attention stack producing contextual word embeddings."""
+    """Self-attention stack: takes an input and its mask, hands back the padded batch."""
 
     decoder = False
 
+    def __call__(self, x: Tensor, mask) -> Tensor:
+        rows = Rows(mask, "mask")
+        return scatter_rows(self._run(x, rows, None), rows)
+
 
 class Decoder(_Stack):
-    """Causal decoder stack attending to a fused memory."""
+    """Causal decoder stack attending to a fused memory: takes an input, a memory
+    and their masks, and hands back its rows as ``gather_rows`` leaves them."""
 
     decoder = True
+
+    def __call__(self, x: Tensor, mask, memory: Tensor, memory_mask) -> Tensor:
+        rows, memory_rows = Rows(mask, "mask"), Rows(memory_mask, "memory_mask")
+        return self._run(x, rows, (memory_rows, gather_rows(memory, memory_rows)))
 
 
 # The loss under a layer's name, only so the benchmark's tracer can patch and

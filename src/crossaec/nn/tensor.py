@@ -452,7 +452,8 @@ def cross_entropy(logits: Tensor, target_ids: np.ndarray, pad_mask: np.ndarray) 
     boolean array of the shape of ``target_ids``, is true. Every target id lies
     in [0, vocabulary size). ``logits`` holds the rows of ``pad_mask`` as
     ``gather_rows`` leaves them: (rows, classes) when the mask pads, else
-    (*mask.shape, classes)."""
+    (*mask.shape, classes). The loss is the mean of the real rows' terms,
+    summed in packed order, so the padding width does not change it."""
     x, rows = logits.data, Rows(pad_mask, "pad_mask")
     _check(x, rows, "logits")
     shape, classes = x.shape, x.shape[-1]
@@ -466,11 +467,7 @@ def cross_entropy(logits: Tensor, target_ids: np.ndarray, pad_mask: np.ndarray) 
     probs = x.reshape(-1, classes).copy()
     picked = np.take_along_axis(probs, targets, axis=-1)[:, 0]
     mx, total = _softmax(probs, -1)
-    # Summed in the mask's layout, zeros at the padding: the order of a
-    # masked mean over every position.
-    terms = np.zeros(rows.mask.shape)
-    terms.reshape(-1)[rows.index] = (mx[:, 0] + np.log(total[:, 0]) - picked) * w
-    data = np.asarray(terms.sum())
+    data = np.asarray(((mx[:, 0] + np.log(total[:, 0]) - picked) * w).sum())
 
     def vjp(g):
         # In place: this VJP runs once, and probs is its own.

@@ -198,6 +198,22 @@ def test_cross_entropy_matches_direct_formula():
     assert abs(float(loss.data) - expected) < 1e-9
 
 
+def test_cross_entropy_does_not_depend_on_the_padding_width():
+    # The same packed rows and targets, laid out at three padding widths: the
+    # loss sums the real rows' terms only, so it is bit-identical at each.
+    lengths = np.array([9, 4, 7])
+    data_rng = np.random.default_rng(0)
+    logits = data_rng.normal(scale=3, size=(lengths.sum(), 7))
+    ids = data_rng.integers(0, 7, size=lengths.sum())
+    losses = []
+    for width in (10, 11, 15):
+        mask = np.arange(width) < lengths[:, None]
+        targets = np.zeros(mask.shape, dtype=np.int64)
+        targets[mask] = ids
+        losses.append(float(cross_entropy(Tensor(logits), targets, mask).data))
+    assert losses[0] == losses[1] == losses[2]
+
+
 def test_embedding_of_no_ids_is_empty():
     assert embedding_lookup(Tensor(np.ones((3, 2))), np.zeros((1, 0))).data.shape == (1, 0, 2)
 
